@@ -65,6 +65,7 @@ from .mechanics import (
     electrostatic_force,
     flexural_frequency,
     induced_tension,
+    net_stiffness,
     operating_point_at_deflection,
     solve_equilibrium,
     zero_point_amplitude,

@@ -167,6 +167,34 @@ def electrostatic_force(
     )
 
 
+def net_stiffness(
+    geom: MembraneGeometry, env: ElectrostaticEnvironment, deflection: float
+) -> float:
+    """Slope (N/m) of the net restoring force at a deflection.
+
+        k = k1 + 3 k3 x^2 - eps0 w l V^2 / (d - x)^3
+
+    An equilibrium at ``deflection`` is stable only where k > 0.
+    """
+    if deflection < 0:
+        raise ValueError("deflection must be nonnegative")
+    if deflection >= env.gap:
+        raise ValueError("deflection reaches the electrode (contact)")
+    # the coefficients of elastic_force, which inlines them because the
+    # equilibrium solver calls it thousands of times per bias point
+    l, w, h, y = geom.length, geom.width, geom.thickness, geom.youngs_modulus
+    linear = (
+        _PLATE_STIFFNESS_COEFF * w * h ** 3 * y / l ** 3
+        + _TENSION_STIFFNESS_COEFF * geom.pre_tension / l
+    )
+    cubic = _CUBIC_STIFFNESS_COEFF * w * h * y / l ** 3
+    electrostatic = (
+        EPSILON_0 * geom.width * geom.length * env.bias_voltage ** 2
+        / (env.gap - deflection) ** 3
+    )
+    return linear + 3.0 * cubic * deflection ** 2 - electrostatic
+
+
 def induced_tension(geom: MembraneGeometry, deflection: float) -> float:
     """Tension (N) of the sheet deflected by ``deflection`` at its midpoint.
 

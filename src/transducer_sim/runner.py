@@ -4,8 +4,10 @@ Each run function takes a parsed :class:`ExperimentConfig` and returns a
 :class:`ResultTable`.  Sweep points are dispatched to a thread pool sized
 by the ``TRANSDUCER_SIM_THREADS`` environment variable (default 1) and
 gathered in sweep order, so output is deterministic regardless of worker
-count.  Rows where the physics refuses (pull-in, tuning, threshold not
-reached) are flagged in a status column instead of aborting the sweep.
+count.  Rows where the physics refuses (pull-in, tuning, unstable
+equilibrium, threshold not reached) are flagged in a status column instead
+of aborting the sweep.  Trajectory runs write their step plan and photon
+comb into the provenance header.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ STATUS_OK = "ok"
 STATUS_PULL_IN = "pull_in"
 STATUS_TUNING = "tuning_error"
 STATUS_NOT_REACHED = "not_reached"
+STATUS_UNSTABLE = "unstable"
 
 
 @dataclass
@@ -172,6 +175,9 @@ def run_coupling_sweep(config: ExperimentConfig) -> ResultTable:
                 env = mechanics.ElectrostaticEnvironment(
                     gap=config.environment.gap, bias_voltage=voltage
                 )
+                # the bias that balances the forces here cannot hold the sheet
+                if mechanics.net_stiffness(geom, env, value) <= 0.0:
+                    return (value, math.nan, math.nan, math.nan, STATUS_UNSTABLE)
                 op = mechanics.operating_point_at_deflection(geom, value)
             circ = circuit_mod.matched_circuit(
                 geom,
@@ -218,6 +224,18 @@ def _build_system(config: ExperimentConfig, g_c: float, kappa: float, temperatur
     )
 
 
+def _trajectory_info(system, duration: float, dt: float | None) -> dict:
+    """Header fields: the step plan and the comb of one trajectory."""
+    steps, dt = dynamics.step_plan(system, duration, dt)
+    return {
+        "dt_s": dt,
+        "steps": steps,
+        "mode_count": system.mode_count,
+        "mode_spacing_hz": system.mode_spacing / TWO_PI,
+        "revival_margin": duration / system.revival_time,
+    }
+
+
 def run_transfer(config: ExperimentConfig) -> ResultTable:
     """Time series of the state populations for one transfer run."""
     sim = config.simulation
@@ -226,13 +244,11 @@ def run_transfer(config: ExperimentConfig) -> ResultTable:
     if sim.duration is None:
         raise ConfigError("missing required field", "simulation", "duration_s")
     system = _build_system(config, sim.g_c, sim.kappa, sim.temperature)
-    dt = sim.dt if sim.dt is not None else dynamics.default_timestep(system)
-    if sim.duration > 0:
-        n_steps = max(1, math.ceil(sim.duration / dt))
-        record_every = sim.sample_every or max(1, n_steps // 500)
-    else:
-        record_every = 1
-    record = dynamics.integrate(system, sim.duration, dt=dt, record_every=record_every)
+    info = _trajectory_info(system, sim.duration, sim.dt)
+    record_every = sim.sample_every or max(1, info["steps"] // 500)
+    record = dynamics.integrate(
+        system, sim.duration, dt=sim.dt, record_every=record_every
+    )
     rows = [
         (
             record.times[i],
@@ -254,7 +270,7 @@ def run_transfer(config: ExperimentConfig) -> ResultTable:
             ("fidelity", "-"),
         ],
         rows=rows,
-        meta={"config_sha256": config.config_hash, "run": "transfer"},
+        meta={"config_sha256": config.config_hash, "run": "transfer", **info},
     )
 
 
@@ -280,6 +296,7 @@ def run_environment_scan(config: ExperimentConfig) -> ResultTable:
             kappa = TWO_PI * value
             g_c, temperature = kappa, sim.temperature
         system = _build_system(config, g_c, kappa, temperature)
+        info = _trajectory_info(system, sim.duration, sim.dt)
         record = dynamics.integrate(
             system, sim.duration, dt=sim.dt, record_every=1
         )
@@ -288,8 +305,17 @@ def run_environment_scan(config: ExperimentConfig) -> ResultTable:
             t95, status = float(record.times[crossed[0]]), STATUS_OK
         else:
             t95, status = math.nan, STATUS_NOT_REACHED
-        return (value, record.max_fidelity, float(record.survival[-1]), t95, status)
+        row = (value, record.max_fidelity, float(record.survival[-1]), t95, status)
+        return row, info
 
+    rows, infos = zip(*_map_ordered(one, values))
+    # a field shared by every point is written once, else per point in order
+    info = {
+        key: infos[0][key]
+        if all(i[key] == infos[0][key] for i in infos)
+        else ";".join(str(i[key]) for i in infos)
+        for key in infos[0]
+    }
     return ResultTable(
         columns=[
             (variable, unit),
@@ -298,6 +324,6 @@ def run_environment_scan(config: ExperimentConfig) -> ResultTable:
             ("time_to_f95", "s"),
             ("status", "-"),
         ],
-        rows=_map_ordered(one, values),
-        meta={"config_sha256": config.config_hash, "run": "scan"},
+        rows=list(rows),
+        meta={"config_sha256": config.config_hash, "run": "scan", **info},
     )

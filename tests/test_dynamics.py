@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
 from transducer_sim import (
     ConfigError,
     CouplingSet,
     NotReachedError,
     StepSizeError,
+    TransferState,
     TransferSystem,
     build_transfer_system,
     closed_eigensystem,
@@ -29,6 +32,7 @@ from transducer_sim import (
     time_to_fidelity,
     transfer_fidelity,
 )
+from transducer_sim.dynamics import max_timestep
 
 from conftest import TWO_PI
 
@@ -216,6 +220,20 @@ class TestStep:
         with pytest.raises(StepSizeError):
             step(system, initial_state(system), -1e-12)
 
+    def test_comb_rotation_is_exact(self):
+        # without optical coupling each mode only rotates, at any step size
+        system = make_transfer_system(
+            g_c=G50, kappa=0.0, mode_spacing=TWO_PI * 1e6, mode_count=500
+        )
+        rng = np.random.default_rng(7)
+        y = np.zeros(system.size, dtype=complex)
+        y[2] = 1.0
+        y[3:] = rng.normal(size=500) + 1j * rng.normal(size=500)
+        dt = max_timestep(system)
+        state = step(system, TransferState(0.0, y), dt)
+        expected = np.exp(-1j * system.detunings * dt) * y[3:]
+        assert np.max(np.abs(state.mode_amplitudes - expected)) < 1e-14
+
     def test_closed_limit_matches_analytic(self):
         # no decay at all: the three-state exchange, photon modes inert
         system = make_transfer_system(
@@ -240,6 +258,21 @@ class TestAgainstDensePropagator:
         t_end = 50e-9
         record = integrate(system, t_end)
         oracle = expm(dense_generator(system) * t_end) @ initial_state(system).amplitudes
+        deviation = np.max(np.abs(record.final_state.amplitudes - oracle))
+        assert deviation < 1e-6
+
+    def test_widest_comb_matches_matrix_exponential(self):
+        # 200 MHz tier: 2000 modes, the comb whose bandwidth once set the step
+        system = benchmark_system(
+            g_c=TWO_PI * 200e6, mode_spacing=None, mode_count=None
+        )
+        assert system.mode_count == 2000
+        t_end = 20e-9
+        record = integrate(system, t_end)
+        oracle = expm_multiply(
+            csr_matrix(dense_generator(system)) * t_end,
+            initial_state(system).amplitudes,
+        )
         deviation = np.max(np.abs(record.final_state.amplitudes - oracle))
         assert deviation < 1e-6
 
@@ -295,6 +328,12 @@ class TestTimeToFidelity:
     def test_benchmark_crossing(self):
         t95 = time_to_fidelity(benchmark_system(), 0.95, t_max=150e-9)
         assert t95 == pytest.approx(33e-9, rel=0.2)
+
+    def test_same_steps_as_integrate(self):
+        system = benchmark_system()
+        record = integrate(system, 150e-9, record_every=1)
+        first = record.times[np.nonzero(record.fidelity >= 0.95)[0][0]]
+        assert time_to_fidelity(system, 0.95, t_max=150e-9) == first
 
     def test_unreachable_threshold(self):
         with pytest.raises(NotReachedError) as excinfo:

@@ -170,6 +170,19 @@ class TestCouplingSweep:
         g_om1 = table.column("g_om1")
         assert all(a < b for a, b in zip(g_om1, g_om1[1:]))
 
+    def test_unstable_branch_flagged(self):
+        # past ~5.35 nm the bias that balances the forces has negative net
+        # stiffness: -1.08 N/m at 5.4 nm
+        text = read_config("couplings_voltage_sweep.ini").replace(
+            "variable = bias_voltage", "variable = displacement"
+        ).replace("stop = 3.3", "stop = 5.5e-9").replace("points = 34", "points = 56")
+        table = run_coupling_sweep(parse_config(text))
+        rows = dict(zip(table.column("displacement"), table.column("status")))
+        assert [rows[x] for x in sorted(rows) if x > 5.35e-9] == ["unstable"] * 2
+        assert all(s == "ok" for x, s in rows.items() if x < 5.35e-9)
+        unstable = [r for r in table.rows if r[-1] == "unstable"]
+        assert all(math.isnan(v) for r in unstable for v in r[1:4])
+
 
 class TestTransferRun:
     def test_zero_duration_single_row(self):
@@ -248,6 +261,25 @@ class TestDeterminismAndFormat:
         assert any(line.startswith("# columns:") for line in lines)
         header = [line for line in lines if not line.startswith("#")][0]
         assert header == "bias_voltage,deflection,tension,frequency,status"
+
+    def test_trajectory_runs_report_step_plan_and_comb(self):
+        transfer = read_config("paper_defaults.ini").replace(
+            "duration_s = 150e-9", "duration_s = 20e-9"
+        )
+        scan = read_config("scan_kappa.ini").replace("points = 4", "points = 2").replace(
+            "duration_s = 150e-9", "duration_s = 10e-9"
+        )
+        keys = ("dt_s", "steps", "mode_count", "mode_spacing_hz", "revival_margin")
+        for run, text in ((run_transfer, transfer), (run_environment_scan, scan)):
+            csv = run(parse_config(text)).to_csv_text()
+            assert all(f"\n# {key}=" in csv for key in keys), csv
+            assert csv == run(parse_config(text)).to_csv_text()
+        # the transfer run: one 20 ns trajectory on the 500-mode, 1 MHz comb
+        meta = run_transfer(parse_config(transfer)).meta
+        assert meta["steps"] * meta["dt_s"] == pytest.approx(20e-9, rel=1e-12)
+        assert meta["mode_count"] == 500
+        assert meta["mode_spacing_hz"] == pytest.approx(1e6, rel=1e-12)
+        assert meta["revival_margin"] == pytest.approx(0.02, rel=1e-12)
 
 
 class TestCli:

@@ -13,6 +13,7 @@ from transducer_sim import (
     electrostatic_force,
     flexural_frequency,
     induced_tension,
+    net_stiffness,
     operating_point_at_deflection,
     solve_equilibrium,
     zero_point_amplitude,
@@ -144,6 +145,25 @@ class TestElectrostaticForce:
             electrostatic_force(environment, geometry, 10e-9)
         with pytest.raises(ValueError):
             electrostatic_force(environment, geometry, 11e-9)
+
+
+class TestNetStiffness:
+    def test_matches_central_difference_of_net_force(self, geometry, environment):
+        x, h = 2.4e-9, 1e-13
+
+        def net(z):
+            return elastic_force(geometry, z) - electrostatic_force(environment, geometry, z)
+
+        slope = (net(x + h) - net(x - h)) / (2 * h)
+        assert net_stiffness(geometry, environment, x) == pytest.approx(slope, rel=1e-6)
+
+    def test_solved_equilibrium_is_stable(self, geometry, environment):
+        op = solve_equilibrium(geometry, environment)
+        assert net_stiffness(geometry, environment, op.deflection) > 0
+
+    def test_contact_rejected(self, geometry, environment):
+        with pytest.raises(ValueError):
+            net_stiffness(geometry, environment, environment.gap)
 
 
 class TestInducedTension:
