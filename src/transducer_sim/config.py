@@ -338,5 +338,5 @@ def parse_config(text: str) -> ExperimentConfig:
         simulation=simulation,
         sweep=sweep,
         output_path=output_path,
-        config_hash=hashlib.sha256(text.encode()).hexdigest()[:12],
+        config_hash=hashlib.sha256(text.encode()).hexdigest(),
     )

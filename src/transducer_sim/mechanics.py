@@ -6,7 +6,10 @@ toward the electrode; the deflection stretches it, the induced tension
 stiffens the fundamental flexural mode, and the mode frequency becomes
 voltage tunable by several GHz.  This module solves the static force
 balance and reports the operating point: deflection, tension, mode
-frequency and zero-point amplitude.
+frequency and zero-point amplitude.  The force balance is a quintic in
+the deflection, so the equilibrium is its smallest real root below the gap
+(parallel-plate pull-in; Pelesko & Bernstein, *Modeling MEMS and NEMS*,
+2002).
 
 All quantities are SI; frequencies are angular (rad/s) unless a name ends
 in ``_hz``.  Deflections are positive toward the bottom electrode.
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import EPSILON_0, HBAR, TWO_PI
 from .errors import PullInError
@@ -41,8 +46,6 @@ _CUBIC_STIFFNESS_COEFF = 8.0 / 3.0
 
 # weight of the tension term in the fundamental-mode frequency
 _TENSION_FREQUENCY_COEFF = 0.57
-
-_BISECTION_XTOL = 1e-18  # m; keeps the force residual at the root below 1e-15 N
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,17 @@ def flexural_frequency(geom: MembraneGeometry, tension: float) -> float:
     return TWO_PI * math.sqrt(plate + stretched)
 
 
+def _stiffness_coefficients(geom: MembraneGeometry) -> tuple[float, float]:
+    """Linear and cubic coefficients (k1, k3) of the restoring force k1 x + k3 x^3."""
+    l, w, h, y = geom.length, geom.width, geom.thickness, geom.youngs_modulus
+    k1 = (
+        _PLATE_STIFFNESS_COEFF * w * h ** 3 * y / l ** 3
+        + _TENSION_STIFFNESS_COEFF * geom.pre_tension / l
+    )
+    k3 = _CUBIC_STIFFNESS_COEFF * w * h * y / l ** 3
+    return k1, k3
+
+
 def elastic_force(geom: MembraneGeometry, deflection: float) -> float:
     """Restoring force (N) of the sheet at a midpoint deflection.
 
@@ -143,13 +157,8 @@ def elastic_force(geom: MembraneGeometry, deflection: float) -> float:
     """
     if deflection < 0:
         raise ValueError("deflection is measured toward the electrode; must be >= 0")
-    l, w, h, y = geom.length, geom.width, geom.thickness, geom.youngs_modulus
-    linear = (
-        _PLATE_STIFFNESS_COEFF * w * h ** 3 * y / l ** 3
-        + _TENSION_STIFFNESS_COEFF * geom.pre_tension / l
-    )
-    cubic = _CUBIC_STIFFNESS_COEFF * w * h * y / l ** 3
-    return linear * deflection + cubic * deflection ** 3
+    k1, k3 = _stiffness_coefficients(geom)
+    return k1 * deflection + k3 * deflection ** 3
 
 
 def electrostatic_force(
@@ -180,19 +189,27 @@ def net_stiffness(
         raise ValueError("deflection must be nonnegative")
     if deflection >= env.gap:
         raise ValueError("deflection reaches the electrode (contact)")
-    # the coefficients of elastic_force, which inlines them because the
-    # equilibrium solver calls it thousands of times per bias point
-    l, w, h, y = geom.length, geom.width, geom.thickness, geom.youngs_modulus
-    linear = (
-        _PLATE_STIFFNESS_COEFF * w * h ** 3 * y / l ** 3
-        + _TENSION_STIFFNESS_COEFF * geom.pre_tension / l
-    )
-    cubic = _CUBIC_STIFFNESS_COEFF * w * h * y / l ** 3
+    k1, k3 = _stiffness_coefficients(geom)
     electrostatic = (
         EPSILON_0 * geom.width * geom.length * env.bias_voltage ** 2
         / (env.gap - deflection) ** 3
     )
-    return linear + 3.0 * cubic * deflection ** 2 - electrostatic
+    return k1 + 3.0 * k3 * deflection ** 2 - electrostatic
+
+
+def bias_for_deflection(geom: MembraneGeometry, gap: float, deflection: float) -> float:
+    """Bias (V) whose parallel-plate pull balances the restoring force at a deflection.
+
+        V = (d - x) sqrt(2 F(x) / (eps0 w l)),  F = :func:`elastic_force`
+
+    The inverse of the force balance that :func:`solve_equilibrium` solves;
+    the balance need not be stable there (see :func:`net_stiffness`).
+    """
+    if deflection >= gap:
+        raise ValueError("deflection reaches the electrode (contact)")
+    return (gap - deflection) * math.sqrt(
+        2.0 * elastic_force(geom, deflection) / (EPSILON_0 * geom.width * geom.length)
+    )
 
 
 def induced_tension(geom: MembraneGeometry, deflection: float) -> float:
@@ -236,62 +253,40 @@ def solve_equilibrium(
 ) -> OperatingPoint:
     """Solve the static force balance and return the stable operating point.
 
-    Finds the smallest deflection in [0, gap) where the elastic restoring
-    force equals the electrostatic attraction, verifies stability through
-    the sign of the net-force derivative, and populates the operating point
-    with the induced tension, the mode frequency at that tension and the
-    zero-point amplitude.
+    The balance (k1 x + k3 x^3)(d - x)^2 = eps0 w l V^2 / 2 is a quintic.  In
+    u = x/d, with a = k3 d^2/k1 and b = eps0 w l V^2 / (2 k1 d^3), it reads
+    (u + a u^3)(1 - u)^2 = b, whose coefficients stay O(1-10).  The
+    equilibrium is the smallest real root in [0, 1); it must have positive
+    :func:`net_stiffness`.  The operating point carries the induced tension,
+    the mode frequency at that tension and the zero-point amplitude.
 
     Raises
     ------
     PullInError
-        If the electrostatic force exceeds the restoring force everywhere
-        below the gap, i.e. the bias voltage is past the pull-in instability.
+        If no root lies below the gap, i.e. the bias voltage is past the
+        pull-in instability, or if the root found is not stable.
     """
     if env.bias_voltage == 0.0:
         return operating_point_at_deflection(geom, 0.0)
 
-    def net_restoring(x):
-        return elastic_force(geom, x) - electrostatic_force(env, geom, x)
-
-    # net_restoring(0) < 0 whenever V > 0; the first sign change upward is
-    # the stable branch.
-    upper = env.gap * (1.0 - 1e-6)
-    n_grid = 4000
-    lo = 0.0
-    g_lo = net_restoring(lo)
-    bracket = None
-    for i in range(1, n_grid + 1):
-        hi = upper * i / n_grid
-        g_hi = net_restoring(hi)
-        if g_lo < 0.0 <= g_hi:
-            bracket = (lo, hi)
-            break
-        lo, g_lo = hi, g_hi
-    if bracket is None:
+    k1, k3 = _stiffness_coefficients(geom)
+    d = env.gap
+    a = k3 * d ** 2 / k1
+    b = (
+        EPSILON_0 * geom.width * geom.length * env.bias_voltage ** 2
+        / (2.0 * k1 * d ** 3)
+    )
+    roots = np.roots([a, -2.0 * a, 1.0 + a, -2.0, 1.0, -b])
+    # the roots are O(1), so a real one carries only rounding noise in imag
+    real = roots.real[np.abs(roots.imag) <= 1e-12]
+    below_gap = real[(real >= 0.0) & (real < 1.0)]
+    if below_gap.size == 0:
         raise PullInError(
             f"no stable equilibrium below the gap at {env.bias_voltage:g} V "
             f"(pull-in)"
         )
-
-    lo, hi = bracket
-    for _ in range(200):
-        if hi - lo <= _BISECTION_XTOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if net_restoring(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-
-    # stability: the net restoring force must increase through the root
-    h_step = env.gap * 1e-6
-    x_minus = max(root - h_step, 0.0)
-    slope = (net_restoring(root + h_step) - net_restoring(x_minus)) / (
-        root + h_step - x_minus
-    )
-    if not slope > 0.0:
+    root = float(below_gap.min()) * d
+    if not net_stiffness(geom, env, root) > 0.0:
         raise PullInError(
             f"equilibrium at {root:.3e} m is unstable at {env.bias_voltage:g} V"
         )

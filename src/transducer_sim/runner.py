@@ -1,20 +1,16 @@
 """Experiment runner: parameter sweeps and trajectory runs over the physics modules.
 
 Each run function takes a parsed :class:`ExperimentConfig` and returns a
-:class:`ResultTable`.  Sweep points are dispatched to a thread pool sized
-by the ``TRANSDUCER_SIM_THREADS`` environment variable (default 1) and
-gathered in sweep order, so output is deterministic regardless of worker
-count.  Rows where the physics refuses (pull-in, tuning, unstable
-equilibrium, threshold not reached) are flagged in a status column instead
-of aborting the sweep.  Trajectory runs write their step plan and photon
-comb into the provenance header.
+:class:`ResultTable` with one row per sweep point, in sweep order.  Rows
+where the physics refuses (pull-in, tuning, unstable equilibrium,
+threshold not reached) are flagged in a status column instead of aborting
+the sweep.  Trajectory runs write their step plan and photon comb into
+the provenance header.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +18,7 @@ import numpy as np
 from . import circuit as circuit_mod
 from . import dynamics, mechanics
 from .config import ExperimentConfig
-from .constants import EPSILON_0, TWO_PI
+from .constants import TWO_PI
 from .coupling import stark_coupling, strain_coupling
 from .errors import ConfigError, PullInError, TuningError
 
@@ -71,27 +67,6 @@ def _format_cell(value) -> str:
     return format(float(value), ".17g")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("TRANSDUCER_SIM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"TRANSDUCER_SIM_THREADS must be an integer, got {raw!r}"
-        ) from None
-    return max(1, count)
-
-
-def _map_ordered(fn, values):
-    workers = _worker_count()
-    if workers == 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
-
-
 def _require_sweep(config: ExperimentConfig, allowed):
     if config.sweep is None:
         raise ConfigError("this run needs a [sweep] section", "sweep")
@@ -137,22 +112,8 @@ def run_mechanics_sweep(config: ExperimentConfig) -> ResultTable:
             ("frequency", "Hz"),
             ("status", "-"),
         ],
-        rows=_map_ordered(one, values),
+        rows=[one(value) for value in values],
         meta={"config_sha256": config.config_hash, "run": "mechanics"},
-    )
-
-
-def _voltage_for_deflection(config: ExperimentConfig, deflection: float) -> float:
-    """Bias that holds the membrane at the given static deflection."""
-    if deflection == 0.0:
-        return 0.0
-    geom, env = config.geometry, config.environment
-    if deflection >= env.gap:
-        raise ConfigError("displacement sweep reaches the electrode gap", "sweep")
-    force = mechanics.elastic_force(geom, deflection)
-    return math.sqrt(
-        2.0 * force * (env.gap - deflection) ** 2
-        / (EPSILON_0 * geom.width * geom.length)
     )
 
 
@@ -171,9 +132,14 @@ def run_coupling_sweep(config: ExperimentConfig) -> ResultTable:
                 )
                 op = mechanics.solve_equilibrium(geom, env)
             else:
-                voltage = _voltage_for_deflection(config, value)
+                gap = config.environment.gap
+                if value >= gap:
+                    raise ConfigError(
+                        "displacement sweep reaches the electrode gap", "sweep"
+                    )
                 env = mechanics.ElectrostaticEnvironment(
-                    gap=config.environment.gap, bias_voltage=voltage
+                    gap=gap,
+                    bias_voltage=mechanics.bias_for_deflection(geom, gap, value),
                 )
                 # the bias that balances the forces here cannot hold the sheet
                 if mechanics.net_stiffness(geom, env, value) <= 0.0:
@@ -204,7 +170,7 @@ def run_coupling_sweep(config: ExperimentConfig) -> ResultTable:
             ("g_om2", "Hz"),
             ("status", "-"),
         ],
-        rows=_map_ordered(one, values),
+        rows=[one(value) for value in values],
         meta={"config_sha256": config.config_hash, "run": "couplings"},
     )
 
@@ -308,7 +274,7 @@ def run_environment_scan(config: ExperimentConfig) -> ResultTable:
         row = (value, record.max_fidelity, float(record.survival[-1]), t95, status)
         return row, info
 
-    rows, infos = zip(*_map_ordered(one, values))
+    rows, infos = zip(*[one(value) for value in values])
     # a field shared by every point is written once, else per point in order
     info = {
         key: infos[0][key]

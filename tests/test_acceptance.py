@@ -45,7 +45,7 @@ from transducer_sim import (
     thermal_occupation,
 )
 
-from conftest import TWO_PI
+from conftest import TWO_PI, documented_stiffness
 
 KAPPA = TWO_PI * 50e6
 GAMMA = TWO_PI * 100e3
@@ -82,24 +82,12 @@ def transfer_records():
     return records
 
 
-def _documented_stiffness(geom):
-    """Linear and cubic coefficients (k1, k3) of the documented restoring force.
-
-    F = [30.78 w h^3 Y / l^3 + 12.32 T0 / l] x + (8 w h Y / (3 l^3)) x^3,
-    written out here so the checks do not lean on the code under test.
-    """
-    l, w, h, y = geom.length, geom.width, geom.thickness, geom.youngs_modulus
-    k1 = 30.78 * w * h ** 3 * y / l ** 3 + 12.32 * geom.pre_tension / l
-    k3 = 8.0 * w * h * y / (3.0 * l ** 3)
-    return k1, k3
-
-
 def _bias_holding(geom, gap, deflection):
     """Bias (V) whose parallel-plate pull balances the documented force at a deflection.
 
     V* = (d - x) sqrt(2 F(x) / (eps0 w l)).
     """
-    k1, k3 = _documented_stiffness(geom)
+    k1, k3 = documented_stiffness(geom)
     force = k1 * deflection + k3 * deflection ** 3
     return (gap - deflection) * math.sqrt(
         2.0 * force / (epsilon_0 * geom.width * geom.length)
@@ -111,7 +99,7 @@ def _quintic_root(geom, gap, voltage):
 
     Solved in nanometres (x = 1e-9 u) to keep the coefficients near unity.
     """
-    k1, k3 = _documented_stiffness(geom)
+    k1, k3 = documented_stiffness(geom)
     nm = 1e-9
     dn = gap / nm
     rhs = epsilon_0 * geom.width * geom.length * voltage ** 2 / 2.0 / nm ** 3
@@ -125,7 +113,7 @@ def _quintic_root(geom, gap, voltage):
 
 def test_criterion_1_mechanics_anchors(geometry):
     gap = 10e-9
-    k1, k3 = _documented_stiffness(geometry)
+    k1, k3 = documented_stiffness(geometry)
     v_nominal = _bias_holding(geometry, gap, 2.4e-9)
     x_quintic = _quintic_root(geometry, gap, 3.3)
 

@@ -76,6 +76,21 @@ def dense_generator(system):
     return m
 
 
+def markov_fidelity(system, t):
+    """Emitted photon F(t) = kappa int_0^t |c1|^2 in the continuum (Markov) limit.
+
+    The comb is replaced by a decay -kappa/2 on the emitter (Gardiner &
+    Collett 1985), leaving a 3x3 generator M = V diag(lam) V^-1; with
+    c1(t) = sum_k a_k exp(lam_k t) the integral is a double sum in closed form.
+    """
+    m = dense_generator(system)[:3, :3]
+    m[0, 0] = -0.5 * system.kappa
+    lam, v = np.linalg.eig(m)
+    a = v[0] * np.linalg.solve(v, [0.0, 0.0, 1.0])
+    s = lam[:, None] + lam.conj()[None, :]
+    return system.kappa * np.real(np.sum(np.outer(a, a.conj()) * np.expm1(s * t) / s))
+
+
 class TestClosedEvolution:
     def test_initial_condition(self):
         c = closed_evolution(G50, 0.0)
@@ -275,6 +290,27 @@ class TestAgainstDensePropagator:
         )
         deviation = np.max(np.abs(record.final_state.amplitudes - oracle))
         assert deviation < 1e-6
+
+
+class TestMarkovLimit:
+    def test_comb_converges_as_half_bandwidth_grows(self):
+        # the comb's gap to the continuum limit is set by its half-bandwidth
+        # (250, 500, 1000 MHz at 1 MHz spacing) and falls as its inverse
+        t_end = 150e-9
+
+        def gap(spacing_hz, count):
+            system = benchmark_system(
+                mode_spacing=TWO_PI * spacing_hz, mode_count=count
+            )
+            record = integrate(system, t_end)
+            return abs(record.fidelity[-1] - markov_fidelity(system, t_end))
+
+        gaps = [gap(1e6, count) for count in (500, 1000, 2000)]
+        assert gaps[0] < 5e-4
+        for wide, wider in zip(gaps, gaps[1:]):
+            assert wide / wider == pytest.approx(2.0, rel=0.1)
+        # refining the spacing at a fixed half-bandwidth leaves it unchanged
+        assert abs(gap(0.5e6, 1000) - gaps[0]) < 1e-6
 
 
 @pytest.fixture(scope="module")

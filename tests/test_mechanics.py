@@ -1,9 +1,11 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.constants import epsilon_0
 
 from transducer_sim import (
     ElectrostaticEnvironment,
@@ -19,7 +21,9 @@ from transducer_sim import (
     zero_point_amplitude,
 )
 
-from conftest import TWO_PI
+from transducer_sim.mechanics import bias_for_deflection
+
+from conftest import TWO_PI, documented_stiffness
 
 
 def replace_geometry(geom, **kwargs):
@@ -263,6 +267,60 @@ class TestSolveEquilibrium:
                 hi = mid
         v_critical = 0.5 * (lo + hi)
         assert v_critical == pytest.approx(4.750, abs=5e-3)
+
+    def test_pull_in_edge_is_exact(self, geometry):
+        # in u = x/d the balance reads (u + a u^3)(1 - u)^2 = b with
+        # b proportional to V^2; pull-in is at its maximum, the root of the
+        # quartic derivative in (0, 1)
+        gap = 10e-9
+        k1, k3 = documented_stiffness(geometry)
+        balance = np.polymul([k3 * gap ** 2 / k1, 0.0, 1.0, 0.0], [1.0, -2.0, 1.0])
+        turning = np.roots(np.polyder(balance))
+        u_star = min(
+            u.real for u in turning if abs(u.imag) <= 1e-12 and 0.0 < u.real < 1.0
+        )
+        v_star = math.sqrt(
+            2.0 * k1 * gap ** 3 * np.polyval(balance, u_star)
+            / (epsilon_0 * geometry.width * geometry.length)
+        )
+        assert v_star == pytest.approx(4.750, abs=5e-3)
+
+        below = ElectrostaticEnvironment(gap=gap, bias_voltage=v_star * (1 - 1e-9))
+        op = solve_equilibrium(geometry, below)
+        assert op.deflection == pytest.approx(u_star * gap, abs=0.01e-9)
+        assert net_stiffness(geometry, below, op.deflection) > 0
+        above = ElectrostaticEnvironment(gap=gap, bias_voltage=v_star * (1 + 1e-9))
+        with pytest.raises(PullInError):
+            solve_equilibrium(geometry, above)
+
+    def test_bias_for_deflection_inverts_the_balance(self, geometry):
+        # up to the pull-in deflection 5.39 nm the balance is one-to-one
+        for x in (0.5e-9, 2.4e-9, 5.0e-9):
+            v = bias_for_deflection(geometry, 10e-9, x)
+            env = ElectrostaticEnvironment(gap=10e-9, bias_voltage=v)
+            assert solve_equilibrium(geometry, env).deflection == pytest.approx(
+                x, rel=1e-12
+            )
+        assert bias_for_deflection(geometry, 10e-9, 0.0) == 0.0
+        with pytest.raises(ValueError):
+            bias_for_deflection(geometry, 10e-9, 10e-9)
+
+    @given(
+        st.floats(min_value=0.001, max_value=4.74),
+        st.floats(min_value=0.3e-9, max_value=100e-9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_solved_points_balance_and_are_stable(self, geometry, voltage, thickness):
+        geom = replace_geometry(geometry, thickness=thickness)
+        env = ElectrostaticEnvironment(gap=10e-9, bias_voltage=voltage)
+        try:
+            op = solve_equilibrium(geom, env)
+        except PullInError:
+            return
+        restoring = elastic_force(geom, op.deflection)
+        residual = abs(restoring - electrostatic_force(env, geom, op.deflection))
+        assert residual < 1e-12 * restoring
+        assert net_stiffness(geom, env, op.deflection) > 0
 
 
 class TestZeroPointAmplitude:
