@@ -19,9 +19,7 @@ from .circuit import (
 )
 from .config import ExperimentConfig, SimulationSettings, SweepSettings, parse_config
 from .coupling import (
-    CouplingSet,
     EmitterParams,
-    build_coupling_set,
     cooperativity,
     effective_decay,
     effective_optomechanical_coupling,
@@ -34,7 +32,6 @@ from .dynamics import (
     TrajectoryRecord,
     TransferState,
     TransferSystem,
-    build_transfer_system,
     closed_eigensystem,
     closed_evolution,
     closed_generator,

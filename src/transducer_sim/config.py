@@ -2,7 +2,9 @@
 
 A config document holds one block per subsystem; every key carries its
 unit in the name.  Unknown sections or keys are rejected so typos fail
-loudly.  Frequencies in documents are ordinary frequencies in Hz and are
+loudly.  Values outside the physical range (a negative sweep start, a
+zero mode frequency or step) are refused here rather than deep inside a
+run.  Frequencies in documents are ordinary frequencies in Hz and are
 converted to angular rates here.
 """
 
@@ -60,10 +62,6 @@ _SCHEMA = {
         "strain_shift_mev_per_percent",
         "stark_shift_mev_per_v_per_m",
     },
-    "drive": {
-        "rabi_rate_hz",
-        "laser_frequency_hz",
-    },
     "simulation": {
         "g_c_hz",
         "kappa_hz",
@@ -85,12 +83,6 @@ _REQUIRED = {
     "geometry": ("length_m", "width_m", "thickness_m", "youngs_modulus_pa"),
     "circuit": ("gap_m", "bias_voltage_v"),
 }
-
-
-@dataclass(frozen=True)
-class DriveSettings:
-    rabi_rate: float                     # rad/s
-    laser_frequency: float | None = None  # rad/s; None = red phonon sideband
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,6 @@ class ExperimentConfig:
     inductance: float
     quality_factor: float
     emitter: EmitterParams
-    drive: DriveSettings | None
     simulation: SimulationSettings
     sweep: SweepSettings | None
     output_path: str | None
@@ -254,19 +245,6 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), "emitter") from None
 
-    drive = None
-    if cp.has_section("drive"):
-        rabi = _get_float("drive", "rabi_rate_hz", get)
-        if rabi is None:
-            raise ConfigError("missing required field", "drive", "rabi_rate_hz")
-        if rabi < 0:
-            raise ConfigError("rabi_rate_hz must be nonnegative", "drive")
-        laser = _get_float("drive", "laser_frequency_hz", get)
-        drive = DriveSettings(
-            rabi_rate=TWO_PI * rabi,
-            laser_frequency=None if laser is None else TWO_PI * laser,
-        )
-
     g_c = _get_float("simulation", "g_c_hz", get)
     mode_spacing = _get_float("simulation", "mode_spacing_hz", get)
     mode_count = _get_int("simulation", "mode_count", get)
@@ -280,6 +258,12 @@ def parse_config(text: str) -> ExperimentConfig:
     temperature = _get_float("simulation", "temperature_k", get, 0.05)
     if temperature < 0:
         raise ConfigError("temperature_k must be nonnegative", "simulation")
+    mode_frequency = _get_float("simulation", "mode_frequency_hz", get, 5e9)
+    if not mode_frequency > 0:
+        raise ConfigError("mode_frequency_hz must be positive", "simulation")
+    dt = _get_float("simulation", "dt_s", get)
+    if dt is not None and not dt > 0:
+        raise ConfigError("dt_s must be positive", "simulation")
     sample_every = _get_int("simulation", "sample_every", get)
     if sample_every is not None and sample_every < 1:
         raise ConfigError("sample_every must be >= 1", "simulation")
@@ -289,10 +273,10 @@ def parse_config(text: str) -> ExperimentConfig:
         gamma_m=TWO_PI * _get_float("simulation", "gamma_m_hz", get, 100e3),
         gamma_lc=TWO_PI * _get_float("simulation", "gamma_lc_hz", get, 100e3),
         temperature=temperature,
-        mode_frequency=TWO_PI * _get_float("simulation", "mode_frequency_hz", get, 5e9),
+        mode_frequency=TWO_PI * mode_frequency,
         mode_spacing=None if mode_spacing is None else TWO_PI * mode_spacing,
         mode_count=mode_count,
-        dt=_get_float("simulation", "dt_s", get),
+        dt=dt,
         duration=duration,
         sample_every=sample_every,
     )
@@ -317,6 +301,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("points must be >= 1", "sweep")
         if not math.isfinite(start) or not math.isfinite(stop) or start > stop:
             raise ConfigError("range must be finite and ordered (start <= stop)", "sweep")
+        # every sweep variable is a nonnegative quantity, and a thickness is positive
+        if variable == "thickness" and not start > 0:
+            raise ConfigError("a thickness sweep must start above 0", "sweep", "start")
+        if start < 0:
+            raise ConfigError(f"a {variable} sweep must start at 0 or above", "sweep", "start")
         spacing = get("sweep", "spacing", fallback="linear")
         if spacing not in ("linear", "log"):
             raise ConfigError("spacing must be 'linear' or 'log'", "sweep")
@@ -334,7 +323,6 @@ def parse_config(text: str) -> ExperimentConfig:
         inductance=inductance,
         quality_factor=quality_factor,
         emitter=emitter,
-        drive=drive,
         simulation=simulation,
         sweep=sweep,
         output_path=output_path,

@@ -6,8 +6,12 @@ strain (strain coupling) and it modulates the electric field of the biased
 gap (Stark coupling).  A red-detuned drive of Rabi rate Omega converts the
 dispersive shift into an excitation-exchanging coupling of strength
 (Omega/2)(g_om/omega_m).  This module also provides the Bose thermal
-occupations and the stimulated-emission-enhanced decay rates used by the
-transfer dynamics.
+occupation, with which the transfer dynamics enhances its decay rates,
+the (n_bar + 1) decay and the cooperativity.
+
+These are leaf formulas: the runner combines the operating point, the
+circuit and these rates itself, and transfer runs take their matched
+coupling g_c from the config rather than from a drive.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .constants import (
     strain_shift_to_si,
     wavelength_to_angular_frequency,
 )
-from .circuit import CircuitParams, electromechanical_coupling
 from .mechanics import ElectrostaticEnvironment, MembraneGeometry, OperatingPoint
 
 #: measured ZPL strain response of emitters in h-BN spans -3..+6 meV/%;
@@ -54,29 +57,6 @@ class EmitterParams:
             raise ValueError("zpl_frequency must be positive")
         if not self.optical_decay > 0:
             raise ValueError("optical_decay must be positive")
-
-
-@dataclass(frozen=True)
-class CouplingSet:
-    """All coupling rates, decay rates and occupations at one bias point."""
-
-    g_em: float              # rad/s, phonon / microwave photon
-    g_om1: float             # rad/s, strain-mediated emitter / phonon
-    g_om2: float             # rad/s, Stark-mediated emitter / phonon
-    rabi_rate: float         # rad/s, optical drive
-    effective_g_om: float    # rad/s, (Omega/2)(g_om/omega_m)
-    detuning: float          # rad/s, drive vs shifted transition
-    gamma_m: float           # rad/s, bare mechanical damping
-    gamma_lc: float          # rad/s, bare circuit damping
-    kappa: float             # rad/s, bare optical decay
-    n_bar_m: float           # thermal occupation of the mechanical mode
-    n_bar_lc: float          # thermal occupation of the circuit mode
-    n_bar_zpl: float         # thermal occupation at the optical frequency
-
-    @property
-    def g_om(self) -> float:
-        """Total dispersive shift per phonon (rad/s)."""
-        return self.g_om1 + self.g_om2
 
 
 def strain_coupling(
@@ -147,44 +127,3 @@ def cooperativity(g: float, rate_a: float, rate_b: float) -> float:
     if not rate_a > 0 or not rate_b > 0:
         raise ValueError("decay rates must be positive")
     return g ** 2 / (rate_a * rate_b)
-
-
-def build_coupling_set(
-    geom: MembraneGeometry,
-    env: ElectrostaticEnvironment,
-    op_point: OperatingPoint,
-    circuit: CircuitParams,
-    emitter: EmitterParams,
-    rabi_rate: float,
-    laser_frequency: float | None = None,
-    gamma_m: float = 2.0 * math.pi * 100e3,
-    temperature: float = 0.05,
-) -> CouplingSet:
-    """Assemble every rate the transfer dynamics needs at one bias point.
-
-    The drive detuning includes the static dispersive shift of the
-    transition, Delta = w_L - w_0 - g_om^2 / w_m.  When no laser frequency
-    is given the drive sits on the red phonon sideband w_L = w_0 - w_m.
-    """
-    g_em = electromechanical_coupling(op_point, circuit, geom).g_em
-    g_om1 = strain_coupling(op_point, geom, emitter)
-    g_om2 = stark_coupling(op_point, env, emitter)
-    g_om = g_om1 + g_om2
-    omega_m = op_point.mech_frequency
-    if laser_frequency is None:
-        laser_frequency = emitter.zpl_frequency - omega_m
-    detuning = laser_frequency - emitter.zpl_frequency - g_om ** 2 / omega_m
-    return CouplingSet(
-        g_em=g_em,
-        g_om1=g_om1,
-        g_om2=g_om2,
-        rabi_rate=rabi_rate,
-        effective_g_om=effective_optomechanical_coupling(rabi_rate, g_om, omega_m),
-        detuning=detuning,
-        gamma_m=gamma_m,
-        gamma_lc=circuit.damping_rate,
-        kappa=emitter.optical_decay,
-        n_bar_m=thermal_occupation(omega_m, temperature),
-        n_bar_lc=thermal_occupation(circuit.lc_frequency, temperature),
-        n_bar_zpl=thermal_occupation(emitter.zpl_frequency, temperature),
-    )

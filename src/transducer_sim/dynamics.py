@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI
-from .coupling import CouplingSet, thermal_occupation
+from .coupling import thermal_occupation
 from .errors import ConfigError, NotReachedError, StepSizeError
 
 #: hard ceiling on the step relative to the fastest detuned mode
@@ -308,7 +308,6 @@ def _advance(
     dt: float,
     n_steps: int,
     record_every: int = 0,
-    stop_at: float = math.inf,
 ):
     """The stepping core: ``n_steps`` Lawson RK4 steps of ``dt`` from ``y``.
 
@@ -321,8 +320,7 @@ def _advance(
 
     Returns the final amplitude vector and, if ``record_every`` > 0, the
     samples ``(t, |c1|^2, |c2|^2, |c3|^2, survival, fidelity)`` at step 0,
-    every ``record_every`` steps and the last step.  The run stops after
-    the first sample whose fidelity reaches ``stop_at``.
+    every ``record_every`` steps and the last step.
     """
     g1, g2, kp = system.g_om, system.g_em, system.kappa_prime
     loss2, loss3 = 0.5 * system.gamma_m, 0.5 * system.gamma_lc
@@ -364,8 +362,6 @@ def _advance(
         x3 += sixth * (a3 + 2.0 * (b3 + e3) + f3)
         if record_every and (i % record_every == 0 or i == n_steps):
             samples.append(_sample(i * dt, x1, x2, x3, c))
-            if samples[-1][-1] >= stop_at:
-                break
     return np.concatenate(([x1, x2, x3], c)), samples
 
 
@@ -397,6 +393,11 @@ class TrajectoryRecord:
     @property
     def max_fidelity(self) -> float:
         return float(self.fidelity.max())
+
+    def first_time(self, level: float) -> float:
+        """First sampled time at which the fidelity reaches ``level``; NaN if none does."""
+        crossed = np.flatnonzero(self.fidelity >= level)
+        return float(self.times[crossed[0]]) if crossed.size else math.nan
 
 
 def _check_duration(system: TransferSystem, duration: float):
@@ -448,8 +449,8 @@ def time_to_fidelity(
 ) -> float:
     """First time at which the transfer fidelity reaches ``threshold``.
 
-    Steps exactly as :func:`integrate` over ``t_max`` does, sampling every
-    step, and stops at the first crossing.
+    The first crossing of :func:`integrate` over ``t_max``, sampled every
+    step.
 
     Raises
     ------
@@ -459,22 +460,18 @@ def time_to_fidelity(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    _check_duration(system, t_max)
-    n_steps, dt = step_plan(system, t_max, dt)
-    _, samples = _advance(
-        system, initial_state(system).amplitudes, dt, n_steps, 1, stop_at=threshold
-    )
-    if samples[-1][-1] >= threshold:
-        return samples[-1][0]
-    best = max(sample[-1] for sample in samples)
-    raise NotReachedError(threshold=threshold, max_fidelity=best, t_max=t_max)
+    record = integrate(system, t_max, dt=dt, record_every=1)
+    t = record.first_time(threshold)
+    if math.isnan(t):
+        raise NotReachedError(
+            threshold=threshold, max_fidelity=record.max_fidelity, t_max=t_max
+        )
+    return t
 
 
 def saturation_time(record: TrajectoryRecord, tolerance: float = 0.005) -> float:
     """First sampled time at which the fidelity is within ``tolerance`` of its maximum."""
-    target = record.max_fidelity - tolerance
-    idx = np.nonzero(record.fidelity >= target)[0]
-    return float(record.times[idx[0]])
+    return record.first_time(record.max_fidelity - tolerance)
 
 
 def default_discretization(g_max: float, kappa: float):
@@ -533,34 +530,6 @@ def make_transfer_system(
         kappa=kappa * (1.0 + n_zpl),
         gamma_m=gamma_m * (1.0 + n_mode),
         gamma_lc=gamma_lc * (1.0 + n_mode),
-        mode_spacing=mode_spacing,
-        mode_count=mode_count,
-    )
-
-
-def build_transfer_system(
-    couplings: CouplingSet,
-    mode_spacing: float | None = None,
-    mode_count: int | None = None,
-) -> TransferSystem:
-    """System built from a physical coupling set.
-
-    Uses the drive-reduced emitter-phonon coupling and the
-    electromechanical coupling as they come (the generator accepts
-    unmatched values), and applies the (n_bar + 1) thermal enhancement
-    carried by the coupling set to every decay rate.
-    """
-    if (mode_spacing is None) != (mode_count is None):
-        raise ConfigError("give both mode_spacing and mode_count, or neither")
-    if mode_spacing is None:
-        g_max = max(couplings.effective_g_om, couplings.g_em)
-        mode_spacing, mode_count = default_discretization(g_max, couplings.kappa)
-    return TransferSystem(
-        g_om=couplings.effective_g_om,
-        g_em=couplings.g_em,
-        kappa=couplings.kappa * (1.0 + couplings.n_bar_zpl),
-        gamma_m=couplings.gamma_m * (1.0 + couplings.n_bar_m),
-        gamma_lc=couplings.gamma_lc * (1.0 + couplings.n_bar_lc),
         mode_spacing=mode_spacing,
         mode_count=mode_count,
     )

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import circuit as circuit_mod
 from . import dynamics, mechanics
 from .config import ExperimentConfig
@@ -266,11 +264,8 @@ def run_environment_scan(config: ExperimentConfig) -> ResultTable:
         record = dynamics.integrate(
             system, sim.duration, dt=sim.dt, record_every=1
         )
-        crossed = np.nonzero(record.fidelity >= FIDELITY_THRESHOLD)[0]
-        if len(crossed):
-            t95, status = float(record.times[crossed[0]]), STATUS_OK
-        else:
-            t95, status = math.nan, STATUS_NOT_REACHED
+        t95 = record.first_time(FIDELITY_THRESHOLD)
+        status = STATUS_NOT_REACHED if math.isnan(t95) else STATUS_OK
         row = (value, record.max_fidelity, float(record.survival[-1]), t95, status)
         return row, info
 

@@ -6,11 +6,9 @@ from transducer_sim import (
     ElectrostaticEnvironment,
     EmitterParams,
     OperatingPoint,
-    build_coupling_set,
     cooperativity,
     effective_decay,
     effective_optomechanical_coupling,
-    matched_circuit,
     operating_point_at_deflection,
     solve_equilibrium,
     stark_coupling,
@@ -148,47 +146,3 @@ class TestEffectiveDecay:
 
     def test_one_quantum_doubles(self):
         assert effective_decay(3.0, 1.0) == pytest.approx(6.0, rel=1e-15)
-
-
-@pytest.fixture(scope="module")
-def coupling_set(geometry, environment, emitter):
-    op = solve_equilibrium(geometry, environment)
-    circ = matched_circuit(geometry, op, gap=10e-9, bias_voltage=3.3)
-    return (
-        build_coupling_set(
-            geometry,
-            environment,
-            op,
-            circ,
-            emitter,
-            rabi_rate=TWO_PI * 1e9,
-            temperature=0.05,
-        ),
-        op,
-        emitter,
-    )
-
-
-class TestBuildCouplingSet:
-    def test_effective_coupling_identity(self, coupling_set):
-        cs, op, _ = coupling_set
-        expected = 0.5 * cs.rabi_rate * cs.g_om / op.mech_frequency
-        assert cs.effective_g_om == pytest.approx(expected, rel=1e-15)
-
-    def test_detuning_includes_static_shift(self, coupling_set):
-        cs, op, em = coupling_set
-        # red-sideband default drive: w_L - w_0 = -w_m; the subtraction of
-        # the optical scale (~1e15 rad/s) limits agreement to ~1e-10
-        assert cs.detuning == pytest.approx(
-            -op.mech_frequency - cs.g_om ** 2 / op.mech_frequency, rel=1e-9
-        )
-
-    def test_occupations(self, coupling_set):
-        cs, _, _ = coupling_set
-        assert cs.n_bar_m >= 0 and cs.n_bar_lc >= 0
-        assert cs.n_bar_zpl == 0.0
-        assert cs.n_bar_m == pytest.approx(cs.n_bar_lc, rel=1e-12)
-
-    def test_total_shift_is_sum(self, coupling_set):
-        cs, _, _ = coupling_set
-        assert cs.g_om == cs.g_om1 + cs.g_om2

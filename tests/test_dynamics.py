@@ -10,12 +10,10 @@ from scipy.sparse.linalg import expm_multiply
 
 from transducer_sim import (
     ConfigError,
-    CouplingSet,
     NotReachedError,
     StepSizeError,
     TransferState,
     TransferSystem,
-    build_transfer_system,
     closed_eigensystem,
     closed_evolution,
     closed_generator,
@@ -188,27 +186,6 @@ class TestSystemConstruction:
         assert warm.gamma_m == pytest.approx(cold.gamma_m * enhancement, rel=1e-12)
         assert warm.gamma_lc == pytest.approx(cold.gamma_lc * enhancement, rel=1e-12)
         assert warm.kappa == cold.kappa  # optical occupation is zero
-
-    def test_build_from_coupling_set(self):
-        couplings = CouplingSet(
-            g_em=G50,
-            g_om1=0.0,
-            g_om2=TWO_PI * 100e6,
-            rabi_rate=TWO_PI * 1e9,
-            effective_g_om=G50,
-            detuning=-TWO_PI * 5e9,
-            gamma_m=GAMMA,
-            gamma_lc=GAMMA,
-            kappa=KAPPA50,
-            n_bar_m=0.008,
-            n_bar_lc=0.008,
-            n_bar_zpl=0.0,
-        )
-        system = build_transfer_system(couplings)
-        assert system.g_om == couplings.effective_g_om
-        assert system.g_em == couplings.g_em
-        assert system.gamma_m == pytest.approx(GAMMA * 1.008, rel=1e-12)
-        assert system.kappa == KAPPA50
 
     def test_mismatched_couplings_have_no_common_rate(self):
         system = TransferSystem(

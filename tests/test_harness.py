@@ -36,6 +36,35 @@ def read_config(name):
     return (CONFIG_DIR / name).read_text()
 
 
+def sweep(variable, start, stop, points=2):
+    return (
+        f"\n[sweep]\nvariable = {variable}\nstart = {start}\nstop = {stop}\n"
+        f"points = {points}\n"
+    )
+
+
+#: (command, document) pairs whose values lie outside the physical range
+OUT_OF_RANGE = {
+    "temperature_start": (
+        "scan",
+        MINIMAL
+        + "\n[simulation]\ng_c_hz = 50e6\nduration_s = 5e-9\n"
+        + sweep("temperature", -0.5, 0.1),
+    ),
+    "thickness_start": ("mechanics", MINIMAL + sweep("thickness", 0, 2e-9)),
+    "bias_start_mechanics": ("mechanics", MINIMAL + sweep("bias_voltage", -1, 1)),
+    "bias_start_couplings": ("couplings", MINIMAL + sweep("bias_voltage", -1, 1)),
+    "displacement_start": ("couplings", MINIMAL + sweep("displacement", -1e-9, 1e-9)),
+    "mode_frequency": (
+        "transfer",
+        read_config("paper_defaults.ini").replace(
+            "mode_frequency_hz = 5e9", "mode_frequency_hz = 0"
+        ),
+    ),
+    "negative_dt": ("transfer", read_config("paper_defaults.ini") + "dt_s = -1e-12\n"),
+}
+
+
 class TestParseConfig:
     def test_paper_defaults_field_by_field(self):
         cfg = parse_config(read_config("paper_defaults.ini"))
@@ -53,7 +82,6 @@ class TestParseConfig:
         assert cfg.inductance == 1e-6
         assert cfg.quality_factor == 50_000.0
         assert cfg.emitter.optical_decay == pytest.approx(TWO_PI * 53e6, rel=1e-12)
-        assert cfg.drive.rabi_rate == pytest.approx(TWO_PI * 1e9, rel=1e-12)
         sim = cfg.simulation
         assert sim.g_c == pytest.approx(TWO_PI * 50e6, rel=1e-12)
         assert sim.kappa == pytest.approx(TWO_PI * 50e6, rel=1e-12)
@@ -69,7 +97,6 @@ class TestParseConfig:
     def test_minimal_document(self):
         cfg = parse_config(MINIMAL)
         assert cfg.sweep is None
-        assert cfg.drive is None
         assert cfg.simulation.g_c is None
 
     def test_missing_required_field_names_it(self):
@@ -81,8 +108,11 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("length_m", "lenght_m"))
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="membrane"):
-            parse_config(MINIMAL + "\n[membrane]\nfoo = 1\n")
+        # a typo, and a drive section that no run would read
+        for section in ("membrane", "drive"):
+            with pytest.raises(ConfigError, match=section) as excinfo:
+                parse_config(MINIMAL + f"\n[{section}]\nrabi_rate_hz = 1e9\n")
+            assert excinfo.value.section == section
 
     def test_negative_thickness_rejected(self):
         with pytest.raises(ConfigError, match="thickness"):
@@ -292,6 +322,13 @@ class TestCli:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(MINIMAL.replace("gap_m = 10e-9", "gap_m = -1"))
         assert main(["mechanics", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_out_of_range_value_exits_2(self, tmp_path, case):
+        command, text = OUT_OF_RANGE[case]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["mechanics", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
