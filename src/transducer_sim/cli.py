@@ -5,9 +5,11 @@
     transducer-sim transfer  --config FILE [--out FILE]
     transducer-sim scan      --config FILE [--out FILE]
 
-Exit codes: 0 success, 2 configuration errors, 3 physics errors that are
-not survivable inside a sweep (pull-in or tuning failure of a single-point
-run, fidelity threshold not reached).
+Exit codes: 0 success, 2 configuration errors (including a config file
+that cannot be read or decoded, and an output path that cannot be
+written), 3 physics errors that are not survivable inside a sweep
+(pull-in or tuning failure of a single-point run, fidelity threshold not
+reached).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -78,7 +80,11 @@ def main(argv=None) -> int:
 
     out_path = args.out or config.output_path
     if out_path:
-        table.write(out_path)
+        try:
+            table.write(out_path)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(table.to_csv_text())
     return EXIT_OK

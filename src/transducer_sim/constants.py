@@ -7,13 +7,16 @@ converted here, in one place, so no other module hard-codes eV factors.
 
 import math
 
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import e as ELEMENTARY_CHARGE
-from scipy.constants import epsilon_0 as EPSILON_0
-from scipy.constants import hbar as HBAR
-from scipy.constants import k as K_B
-
 TWO_PI = 2.0 * math.pi
+
+# SI-defined exact values and the CODATA 2022 vacuum permittivity, written
+# as literals so a run imports no more than numpy; each equals the float
+# that ``scipy.constants`` gives, and hbar is h / 2 pi as scipy computes it.
+SPEED_OF_LIGHT = 299792458.0
+ELEMENTARY_CHARGE = 1.602176634e-19
+EPSILON_0 = 8.8541878188e-12
+K_B = 1.380649e-23
+HBAR = 6.62607015e-34 / TWO_PI
 
 #: 1 meV expressed in joules
 MEV = 1e-3 * ELEMENTARY_CHARGE

@@ -1,0 +1,81 @@
+"""The package's physical constants, and a run that never imports scipy.
+
+``constants.py`` writes c, e, eps0, hbar and k_B as literals so that a run
+loads only numpy and the standard library.  The literals must be the very
+floats ``scipy.constants`` gives, or every output row would move.  Both
+tests read the package in a fresh process, because this test process has
+scipy loaded already.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import scipy.constants
+
+from test_harness import MINIMAL, sweep
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: package constant -> its name in scipy.constants
+NAMES = {
+    "SPEED_OF_LIGHT": "c",
+    "ELEMENTARY_CHARGE": "e",
+    "EPSILON_0": "epsilon_0",
+    "HBAR": "hbar",
+    "K_B": "k",
+}
+
+CONSTANTS = """
+import json, sys
+src, names = sys.argv[1:]
+sys.path.insert(0, src)
+from transducer_sim import constants
+values = {name: getattr(constants, name) for name in json.loads(names)}
+print(json.dumps({"values": values, "scipy": "scipy" in sys.modules}))
+"""
+
+CLI_RUNS = """
+import json, sys
+src, runs = sys.argv[1:]
+sys.path.insert(0, src)
+from transducer_sim import cli
+codes = [cli.main(argv) for argv in json.loads(runs)]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def _run(script, arg):
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src"), arg],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_literals_equal_scipy_constants():
+    report = _run(CONSTANTS, json.dumps(list(NAMES)))
+    assert report["scipy"] is False
+    for name, scipy_name in NAMES.items():
+        assert report["values"][name] == getattr(scipy.constants, scipy_name), name
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    short = "\n[simulation]\ng_c_hz = 50e6\nduration_s = 5e-9\n"
+    documents = {
+        "mechanics": MINIMAL + sweep("bias_voltage", 0.0, 3.3),
+        "couplings": MINIMAL + sweep("bias_voltage", 0.0, 3.3),
+        "transfer": MINIMAL + short,
+        "scan": MINIMAL + short + sweep("temperature", 0.05, 1.0),
+    }
+    runs = []
+    for command, text in documents.items():
+        cfg = tmp_path / f"{command}.ini"
+        cfg.write_text(text)
+        runs.append([command, "--config", str(cfg), "--out", str(tmp_path / f"{command}.csv")])
+    report = _run(CLI_RUNS, json.dumps(runs))
+    assert report["codes"] == [0] * len(runs)
+    assert report["scipy"] is False

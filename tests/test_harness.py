@@ -62,6 +62,27 @@ OUT_OF_RANGE = {
         ),
     ),
     "negative_dt": ("transfer", read_config("paper_defaults.ini") + "dt_s = -1e-12\n"),
+    # non-finite values, which comparisons such as temperature < 0 let through
+    "temperature_nan": (
+        "transfer",
+        read_config("paper_defaults.ini").replace(
+            "temperature_k = 0.05", "temperature_k = nan"
+        ),
+    ),
+    "duration_nan": (
+        "transfer",
+        read_config("paper_defaults.ini").replace(
+            "duration_s = 150e-9", "duration_s = nan"
+        ),
+    ),
+    "kappa_inf": (
+        "transfer",
+        read_config("paper_defaults.ini").replace("kappa_hz = 50e6", "kappa_hz = inf"),
+    ),
+    "gap_nan": (
+        "mechanics",
+        MINIMAL.replace("gap_m = 10e-9", "gap_m = nan") + sweep("bias_voltage", 0, 1),
+    ),
 }
 
 
@@ -332,6 +353,20 @@ class TestCli:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["mechanics", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        assert main(["mechanics", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(MINIMAL + sweep("bias_voltage", 0, 1))
+        out = tmp_path / "missing_dir" / "o.csv"
+        assert main(["mechanics", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_physics_error_exits_3(self, tmp_path):
         # a step too coarse for the photon comb is a physics-level refusal
