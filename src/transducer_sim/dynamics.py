@@ -30,6 +30,13 @@ against 1e-8, where 0.05 gives 1.9e-8).  ``step``, ``integrate`` and
 ``time_to_fidelity`` all advance through one stepping core.  A run is
 valid only while it stays clear of the discretization revival time
 2 pi / delta_w.
+
+The scheme is linear and the same at every step, so the core composes
+16 steps into one precomputed block map: a block reads the comb once
+(its sums against rot_h^p, p = 0..32), gets every step's bright
+amplitudes and comb injections from that map, and writes the comb once.
+The fidelity of each step follows from the squared comb norm at the block
+start, so recording costs no pass over the comb.
 """
 
 from __future__ import annotations
@@ -52,6 +59,10 @@ _DT_RATE_FRACTION = 0.03
 
 #: keep runs clear of the revival of the discretized photon comb
 _REVIVAL_SAFETY = 0.95
+
+#: steps composed into one precomputed block map; the power table holds
+#: 2 _BLOCK + 1 rows of the comb length
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -296,10 +307,87 @@ def step_plan(system: TransferSystem, duration: float, dt: float | None = None):
     return n_steps, duration / n_steps
 
 
-def _sample(t: float, x1: complex, x2: complex, x3: complex, comb: np.ndarray):
-    p1, p2, p3 = abs(x1) ** 2, abs(x2) ** 2, abs(x3) ** 2
-    fidelity = float(np.vdot(comb, comb).real)
-    return (t, p1, p2, p3, p1 + p2 + p3 + fidelity, fidelity)
+def _step_map(system: TransferSystem, dt: float, rot_h_sum: complex) -> np.ndarray:
+    """One Lawson RK4 step as a 6 x 6 matrix.
+
+    Maps (x1, x2, x3, s0, s1, s2), the bright amplitudes and the comb sums
+    s_p = sum_j rot_h_j^p c_wj, to the next bright amplitudes and the stage
+    scalars (q0, q1, q2) of the comb update c <- rot (c + q0) + rot_h q1 + q2.
+    The comb's share of the couplings is the uniform drive -kappa' c1, so
+    each stage needs one comb sum: that of rot_h (c - kp x1 h/2),
+    rot_h c - kp u1 h/2 or rot c - kp rot_h v1 h.  ``rot_h_sum`` is
+    sum_j rot_h_j.
+    """
+    g1, g2, kp = system.g_om, system.g_em, system.kappa_prime
+    loss2, loss3 = 0.5 * system.gamma_m, 0.5 * system.gamma_lc
+    half, sixth = 0.5 * dt, dt / 6.0
+    kp_rot_h = kp * rot_h_sum
+    kp_n = kp * system.mode_count
+
+    def rates(a1, a2, a3, comb_sum):
+        return (
+            -1j * g1 * a2 + kp * comb_sum,
+            -1j * (g1 * a1 + g2 * a3) - loss2 * a2,
+            -1j * g2 * a2 - loss3 * a3,
+        )
+
+    def one_step(x1, x2, x3, s0, s1, s2):
+        a1, a2, a3 = rates(x1, x2, x3, s0)
+        u1, u2, u3 = x1 + half * a1, x2 + half * a2, x3 + half * a3
+        b1, b2, b3 = rates(u1, u2, u3, s1 - half * kp_rot_h * x1)
+        v1, v2, v3 = x1 + half * b1, x2 + half * b2, x3 + half * b3
+        e1, e2, e3 = rates(v1, v2, v3, s1 - half * kp_n * u1)
+        w1, w2, w3 = x1 + dt * e1, x2 + dt * e2, x3 + dt * e3
+        f1, f2, f3 = rates(w1, w2, w3, s2 - dt * kp_rot_h * v1)
+        return (
+            x1 + sixth * (a1 + 2.0 * (b1 + e1) + f1),
+            x2 + sixth * (a2 + 2.0 * (b2 + e2) + f2),
+            x3 + sixth * (a3 + 2.0 * (b3 + e3) + f3),
+            -sixth * kp * x1,
+            -2.0 * sixth * kp * (u1 + v1),
+            -sixth * kp * w1,
+        )
+
+    # the step is linear: its columns are the images of the six unit inputs
+    return np.array([one_step(*unit) for unit in np.eye(6).tolist()]).T
+
+
+def _block_map(step_map: np.ndarray, kernel: np.ndarray):
+    """``_BLOCK`` = B steps of ``step_map`` as linear maps of one block input.
+
+    The input is z = (x1, x2, x3, F_0..F_2B), with F_p = sum_j rot_h_j^p
+    c_wj of the comb at the block start; ``kernel[p]`` is G(p) =
+    sum_j rot_h_j^p.  After k steps the comb is rot_h^2k c + sum_p h_p
+    rot_h^p, where q_i of step m sits at exponent 2 (k - m) - i, so the
+    comb sums of step k are F_(2k+i) plus the kernel term
+    sum_p h_p G(p + i) of the block's own injections.
+
+    Returns ``steps`` (B, 9, 2B + 4), whose rows for step k are the bright
+    amplitudes after it, its stage scalars (q0, q1, q2) and its comb sums
+    (s0, s1, s2), and ``combs`` (B, 2B + 1, 2B + 4), the injections h after
+    k + 1 steps.  Both are causal: the first L steps of a block need only
+    their first L entries.
+    """
+    n_pow = 2 * _BLOCK + 1
+    lags = np.subtract.outer(np.arange(n_pow), np.arange(n_pow))
+    # row a: G(a - e) on the injections in row e, then F_a itself
+    sums = np.hstack((np.tril(kernel[np.abs(lags)]), np.eye(n_pow)))
+    # q_i of step m accumulates in row 2m + i, so h_p after k steps is row
+    # 2k - p; the rows below hold the unit inputs F_p
+    chain = np.zeros((2 * n_pow, 3 + n_pow), dtype=complex)
+    chain[n_pow:, 3:] = np.eye(n_pow)
+    inputs = np.zeros((6, 3 + n_pow), dtype=complex)
+    inputs[:3, :3] = np.eye(3)
+    steps = np.empty((_BLOCK, 9, 3 + n_pow), dtype=complex)
+    combs = np.zeros((_BLOCK, n_pow, 3 + n_pow), dtype=complex)
+    for k in range(_BLOCK):
+        np.matmul(sums[2 * k : 2 * k + 3], chain, out=inputs[3:])
+        np.matmul(step_map, inputs, out=steps[k, :6])
+        steps[k, 6:] = inputs[3:]
+        inputs[:3] = steps[k, :3]
+        chain[2 * k : 2 * k + 3] += steps[k, 3:6]
+        combs[k, : 2 * k + 3] = chain[2 * k + 2 :: -1]
+    return steps, combs
 
 
 def _advance(
@@ -311,58 +399,68 @@ def _advance(
 ):
     """The stepping core: ``n_steps`` Lawson RK4 steps of ``dt`` from ``y``.
 
-    The comb rotation exp(-i Delta_j t) is the integrating factor; the RK4
-    stages see only the couplings and losses.  Because the comb's share of
-    those is the uniform drive -kappa' c1, each stage needs just one of the
-    comb sums (sum_j c_wj, sum_j rot_h c_wj, sum_j rot c_wj), taken together
-    as one 3 x N product, and the comb update is rot (c + q0) + rot_h q1 + q2
-    with three stage scalars.
+    Runs in blocks of ``_BLOCK`` = B steps.  A block reads the comb once as
+    F = P c, where row p of the power table P is rot_h^p (p = 0..2B); one
+    precomputed map (:func:`_block_map`) takes (x1, x2, x3, F) to the bright
+    amplitudes, stage scalars and comb sums of all its L steps, and the comb
+    is written once as c <- P[2L] c + h P.  Since |rot_h| = 1, a step raises
+    |c|^2 by 2 Re(q . conj(s)) + q^H T q with T[a, b] = G(a - b), so the
+    fidelity of every step follows from |c|^2 at the block start.
 
     Returns the final amplitude vector and, if ``record_every`` > 0, the
-    samples ``(t, |c1|^2, |c2|^2, |c3|^2, survival, fidelity)`` at step 0,
-    every ``record_every`` steps and the last step.
+    samples ``(t, |c1|^2, |c2|^2, |c3|^2, survival, fidelity)``, one row
+    each, at step 0, every ``record_every`` steps and the last step.
     """
-    g1, g2, kp = system.g_om, system.g_em, system.kappa_prime
-    loss2, loss3 = 0.5 * system.gamma_m, 0.5 * system.gamma_lc
-    half, sixth = 0.5 * dt, dt / 6.0
+    n_pow = 2 * _BLOCK + 1
     rot_h = np.exp(-0.5j * dt * system.detunings)
-    probes = np.array([np.ones_like(rot_h), rot_h, rot_h * rot_h])
-    kp_rot_h = kp * complex(rot_h.sum())
-    kp_n = kp * system.mode_count
-    x1, x2, x3 = (complex(v) for v in y[:3])
+    powers = np.empty((n_pow, system.mode_count), dtype=complex)
+    powers[0] = 1.0
+    for p in range(1, n_pow):
+        np.multiply(powers[p - 1], rot_h, out=powers[p])
+    g = powers.sum(axis=1)
+    steps, combs = _block_map(_step_map(system, dt, g[1]), g)
+    steps = steps.reshape(9 * _BLOCK, 3 + n_pow)
+    # the |c|^2 gain of a step is Re(u^H K u) for u = (q, s), with
+    # K = [[T, 1], [1, 0]]; ``form`` holds K transposed for row-wise u
+    form = np.zeros((6, 6), dtype=complex)
+    form[:3, :3] = [
+        [g[0], g[1], g[2]],
+        [g[1].conj(), g[0], g[1]],
+        [g[2].conj(), g[1].conj(), g[0]],
+    ]
+    form[:3, 3:] = form[3:, :3] = np.eye(3)
+
+    z = np.empty(3 + n_pow, dtype=complex)
+    z[:3] = y[:3]
     c = y[3:].copy()
-
-    def rates(a1, a2, a3, comb_sum):
-        return (
-            -1j * g1 * a2 + kp * comb_sum,
-            -1j * (g1 * a1 + g2 * a3) - loss2 * a2,
-            -1j * g2 * a2 - loss3 * a3,
-        )
-
-    samples = [_sample(0.0, x1, x2, x3, c)] if record_every else []
-    for i in range(1, n_steps + 1):
-        s0, s1, s2 = (probes @ c).tolist()
-        # stage inputs: bright amplitudes by classical RK4; the comb sums of
-        # rot_h (c - kp x1 h/2), rot_h c - kp u1 h/2, rot c - kp rot_h v1 h
-        a1, a2, a3 = rates(x1, x2, x3, s0)
-        u1, u2, u3 = x1 + half * a1, x2 + half * a2, x3 + half * a3
-        b1, b2, b3 = rates(u1, u2, u3, s1 - half * kp_rot_h * x1)
-        v1, v2, v3 = x1 + half * b1, x2 + half * b2, x3 + half * b3
-        e1, e2, e3 = rates(v1, v2, v3, s1 - half * kp_n * u1)
-        w1, w2, w3 = x1 + dt * e1, x2 + dt * e2, x3 + dt * e3
-        f1, f2, f3 = rates(w1, w2, w3, s2 - dt * kp_rot_h * v1)
-        # rot (c + q0) + rot_h q1 + q2, in place by Horner in rot_h
-        np.add(c, -sixth * kp * x1, out=c)
-        np.multiply(c, rot_h, out=c)
-        np.add(c, -2.0 * sixth * kp * (u1 + v1), out=c)
-        np.multiply(c, rot_h, out=c)
-        np.add(c, -sixth * kp * w1, out=c)
-        x1 += sixth * (a1 + 2.0 * (b1 + e1) + f1)
-        x2 += sixth * (a2 + 2.0 * (b2 + e2) + f2)
-        x3 += sixth * (a3 + 2.0 * (b3 + e3) + f3)
-        if record_every and (i % record_every == 0 or i == n_steps):
-            samples.append(_sample(i * dt, x1, x2, x3, c))
-    return np.concatenate(([x1, x2, x3], c)), samples
+    samples = []
+    if record_every:
+        p = np.abs(z[:3]) ** 2
+        fidelity = np.vdot(c, c).real
+        samples.append([[0.0, *p, p.sum() + fidelity, fidelity]])
+    for start in range(0, n_steps, _BLOCK):
+        size = min(_BLOCK, n_steps - start)
+        np.matmul(powers, c, out=z[3:])
+        out = (steps @ z).reshape(_BLOCK, 9)
+        if record_every:
+            first = record_every - 1 - start % record_every
+            picked = list(range(first, size, record_every))
+            if start + size == n_steps and n_steps % record_every:
+                picked.append(size - 1)
+            if picked:
+                u = out[:size, 3:]
+                gain = np.einsum("ij,ij->i", u.conj(), u @ form).real
+                fidelity = (np.vdot(c, c).real + np.cumsum(gain))[picked]
+                p = np.abs(out[picked, :3]) ** 2
+                t = (np.array(picked) + (start + 1)) * dt
+                samples.append(
+                    np.column_stack((t, p, p.sum(axis=1) + fidelity, fidelity))
+                )
+        np.multiply(c, powers[2 * size], out=c)
+        c += (combs[size - 1] @ z) @ powers
+        z[:3] = out[size - 1, :3]
+    y = np.concatenate((z[:3], c))
+    return y, np.concatenate(samples) if samples else np.empty((0, 6))
 
 
 def step(system: TransferSystem, state: TransferState, dt: float) -> TransferState:
@@ -429,14 +527,13 @@ def integrate(
     y, samples = _advance(
         system, initial_state(system).amplitudes, dt, n_steps, record_every
     )
-    arr = np.array(samples)
     return TrajectoryRecord(
-        times=arr[:, 0],
-        p_emitter=arr[:, 1],
-        p_phonon=arr[:, 2],
-        p_circuit=arr[:, 3],
-        survival=arr[:, 4],
-        fidelity=arr[:, 5],
+        times=samples[:, 0],
+        p_emitter=samples[:, 1],
+        p_phonon=samples[:, 2],
+        p_circuit=samples[:, 3],
+        survival=samples[:, 4],
+        fidelity=samples[:, 5],
         final_state=TransferState(time=duration, amplitudes=y),
     )
 
