@@ -21,9 +21,10 @@ preserves the norm identity exactly.
 
 Integration is Lawson's fixed-step integrating-factor RK4 (Lawson 1967;
 Hochbruck & Ostermann, Acta Numerica 19:209, 2010): the diagonal comb
-rotation exp(-i (j - N/2) delta_w t) is applied exactly and the classical
-RK4 stages see only the couplings and losses, so the step is set by them
-rather than by the comb bandwidth.  The default step is
+rotation exp(-i (j - N/2) delta_w t) and the decay exp(-Gamma t / 2) of
+the phonon and circuit amplitudes are applied exactly, and the classical
+RK4 stages see only the couplings, so the step is set by them rather than
+by the comb bandwidth or a loss rate.  The default step is
 0.03 / max(g_om, g_em, kappa), capped at :func:`max_timestep`; 0.03 is
 where the norm-drift gate binds (lossless, 1 us, 1000 modes: drift 1.5e-9
 against 1e-8, where 0.05 gives 1.9e-8).  ``step``, ``integrate`` and
@@ -313,36 +314,40 @@ def _step_map(system: TransferSystem, dt: float, rot_h_sum: complex) -> np.ndarr
     Maps (x1, x2, x3, s0, s1, s2), the bright amplitudes and the comb sums
     s_p = sum_j rot_h_j^p c_wj, to the next bright amplitudes and the stage
     scalars (q0, q1, q2) of the comb update c <- rot (c + q0) + rot_h q1 + q2.
-    The comb's share of the couplings is the uniform drive -kappa' c1, so
-    each stage needs one comb sum: that of rot_h (c - kp x1 h/2),
-    rot_h c - kp u1 h/2 or rot c - kp rot_h v1 h.  ``rot_h_sum`` is
-    sum_j rot_h_j.
+    The integrating factor holds the comb rotation and the decay
+    exp(-Gamma t / 2) of the phonon and circuit amplitudes (d2, d3 per half
+    step), so the stages see only the couplings.  The comb's share of those
+    is the uniform drive -kappa' c1, so each stage needs one comb sum: that
+    of rot_h (c - kp x1 h/2), rot_h c - kp u1 h/2 or rot c - kp rot_h v1 h.
+    ``rot_h_sum`` is sum_j rot_h_j.
     """
     g1, g2, kp = system.g_om, system.g_em, system.kappa_prime
-    loss2, loss3 = 0.5 * system.gamma_m, 0.5 * system.gamma_lc
     half, sixth = 0.5 * dt, dt / 6.0
     kp_rot_h = kp * rot_h_sum
     kp_n = kp * system.mode_count
+    # half-step integrating factors of the phonon and circuit losses
+    d2 = math.exp(-0.25 * dt * system.gamma_m)
+    d3 = math.exp(-0.25 * dt * system.gamma_lc)
 
     def rates(a1, a2, a3, comb_sum):
         return (
             -1j * g1 * a2 + kp * comb_sum,
-            -1j * (g1 * a1 + g2 * a3) - loss2 * a2,
-            -1j * g2 * a2 - loss3 * a3,
+            -1j * (g1 * a1 + g2 * a3),
+            -1j * g2 * a2,
         )
 
     def one_step(x1, x2, x3, s0, s1, s2):
         a1, a2, a3 = rates(x1, x2, x3, s0)
-        u1, u2, u3 = x1 + half * a1, x2 + half * a2, x3 + half * a3
+        u1, u2, u3 = x1 + half * a1, d2 * (x2 + half * a2), d3 * (x3 + half * a3)
         b1, b2, b3 = rates(u1, u2, u3, s1 - half * kp_rot_h * x1)
-        v1, v2, v3 = x1 + half * b1, x2 + half * b2, x3 + half * b3
+        v1, v2, v3 = x1 + half * b1, d2 * x2 + half * b2, d3 * x3 + half * b3
         e1, e2, e3 = rates(v1, v2, v3, s1 - half * kp_n * u1)
-        w1, w2, w3 = x1 + dt * e1, x2 + dt * e2, x3 + dt * e3
+        w1, w2, w3 = x1 + dt * e1, d2 * (d2 * x2 + dt * e2), d3 * (d3 * x3 + dt * e3)
         f1, f2, f3 = rates(w1, w2, w3, s2 - dt * kp_rot_h * v1)
         return (
             x1 + sixth * (a1 + 2.0 * (b1 + e1) + f1),
-            x2 + sixth * (a2 + 2.0 * (b2 + e2) + f2),
-            x3 + sixth * (a3 + 2.0 * (b3 + e3) + f3),
+            d2 * (d2 * (x2 + sixth * a2) + 2.0 * sixth * (b2 + e2)) + sixth * f2,
+            d3 * (d3 * (x3 + sixth * a3) + 2.0 * sixth * (b3 + e3)) + sixth * f3,
             -sixth * kp * x1,
             -2.0 * sixth * kp * (u1 + v1),
             -sixth * kp * w1,

@@ -269,6 +269,62 @@ class TestAgainstDensePropagator:
         assert deviation < 1e-6
 
 
+    @pytest.mark.parametrize(
+        "loss_hz, temperature", [(1e9, 0.05), (1e10, 0.05), (1e12, 0.05), (100e3, 1e5)]
+    )
+    def test_fidelity_under_strong_loss_matches_matrix_exponential(
+        self, loss_hz, temperature
+    ):
+        # both losses far above the couplings, or thermally enhanced to
+        # them at 1e5 K: they sit in the integrating factor and bound no step
+        system = benchmark_system(
+            mode_count=200,
+            mode_spacing=TWO_PI * 2.5e6,
+            gamma_m=TWO_PI * loss_hz,
+            gamma_lc=TWO_PI * loss_hz,
+            temperature=temperature,
+        )
+        t_end = 50e-9
+        record = integrate(system, t_end)
+        oracle = expm(dense_generator(system) * t_end) @ initial_state(system).amplitudes
+        f_oracle = float(np.sum(np.abs(oracle[3:]) ** 2))
+        assert abs(record.fidelity[-1] - f_oracle) < 1e-6
+
+
+class TestLossAndThermalSurface:
+    @given(
+        gamma_m_hz=st.just(0.0) | st.floats(0.0, 12.0).map(lambda e: 10.0 ** e),
+        gamma_lc_hz=st.just(0.0) | st.floats(0.0, 12.0).map(lambda e: 10.0 ** e),
+        temperature=st.just(0.0) | st.floats(-3.0, 5.0).map(lambda e: 10.0 ** e),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_populations_bounded_and_survival_nonincreasing(
+        self, gamma_m_hz, gamma_lc_hz, temperature
+    ):
+        system = make_transfer_system(
+            g_c=G50,
+            kappa=KAPPA50,
+            gamma_m=TWO_PI * gamma_m_hz,
+            gamma_lc=TWO_PI * gamma_lc_hz,
+            temperature=temperature,
+        )
+        record = integrate(system, 20e-9)
+        populations = np.array(
+            [
+                record.p_emitter,
+                record.p_phonon,
+                record.p_circuit,
+                record.survival,
+                record.fidelity,
+            ]
+        )
+        assert np.all(np.isfinite(populations))
+        assert np.all((populations >= 0.0) & (populations <= 1.0 + 1e-8))
+        # no sample rises above an earlier one by more than the norm-drift gate
+        survival = record.survival
+        assert np.all(survival <= np.minimum.accumulate(survival) + 1e-8)
+
+
 class TestMarkovLimit:
     def test_comb_converges_as_half_bandwidth_grows(self):
         # the comb's gap to the continuum limit is set by its half-bandwidth

@@ -368,6 +368,23 @@ class TestCli:
         assert "cannot write output" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("gamma_m_hz", ["1e10", "1e12"])
+    def test_loss_above_couplings_stays_bounded(self, tmp_path, gamma_m_hz):
+        # a mechanical loss far above g_c = 50 MHz decays, it does not blow up
+        text = (
+            read_config("paper_defaults.ini")
+            .replace("duration_s = 150e-9", "duration_s = 50e-9")
+            .replace("gamma_m_hz = 100e3", f"gamma_m_hz = {gamma_m_hz}")
+        )
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(text)
+        assert main(["transfer", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        lines = [line for line in out.read_text().splitlines() if line[0] != "#"]
+        populations = np.array([line.split(",")[1:] for line in lines[1:]], dtype=float)
+        assert len(populations) > 100
+        assert np.all(np.isfinite(populations))
+        assert np.all((populations >= 0.0) & (populations <= 1.0 + 1e-8))
+
     def test_physics_error_exits_3(self, tmp_path):
         # a step too coarse for the photon comb is a physics-level refusal
         text = read_config("paper_defaults.ini") + "dt_s = 1e-9\n"
