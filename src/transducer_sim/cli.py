@@ -15,6 +15,7 @@ reached).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import parse_config
@@ -38,7 +39,9 @@ EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="transducer-sim",
         description=(

@@ -392,6 +392,20 @@ class TestCli:
         cfg.write_text(text)
         assert main(["transfer", "--config", str(cfg)]) == EXIT_PHYSICS
 
+    def test_parser_built_once_per_process(self, tmp_path):
+        from transducer_sim.cli import _build_parser
+
+        parser = _build_parser()
+        mech_cfg, coup_cfg = tmp_path / "mech.ini", tmp_path / "coup.ini"
+        mech_cfg.write_text(MINIMAL + sweep("bias_voltage", 0, 1))
+        coup_cfg.write_text(MINIMAL + sweep("bias_voltage", 0, 3))
+        mech_out, coup_out = tmp_path / "mech.csv", tmp_path / "coup.csv"
+        assert main(["mechanics", "--config", str(mech_cfg), "--out", str(mech_out)]) == EXIT_OK
+        assert main(["couplings", "--config", str(coup_cfg), "--out", str(coup_out)]) == EXIT_OK
+        assert "# run=mechanics" in mech_out.read_text()
+        assert "# run=couplings" in coup_out.read_text()
+        assert _build_parser() is parser
+
     def test_stdout_when_no_out_path(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(MINIMAL + "\n[sweep]\nvariable = bias_voltage\nstart = 0\nstop = 1\npoints = 2\n")
