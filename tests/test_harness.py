@@ -13,7 +13,7 @@ from transducer_sim import (
     run_mechanics_sweep,
     run_transfer,
 )
-from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, main
+from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _build_parser, main
 
 from conftest import TWO_PI
 
@@ -393,8 +393,6 @@ class TestCli:
         assert main(["transfer", "--config", str(cfg)]) == EXIT_PHYSICS
 
     def test_parser_built_once_per_process(self, tmp_path):
-        from transducer_sim.cli import _build_parser
-
         parser = _build_parser()
         mech_cfg, coup_cfg = tmp_path / "mech.ini", tmp_path / "coup.ini"
         mech_cfg.write_text(MINIMAL + sweep("bias_voltage", 0, 1))
