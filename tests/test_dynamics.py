@@ -268,7 +268,6 @@ class TestAgainstDensePropagator:
         deviation = np.max(np.abs(record.final_state.amplitudes - oracle))
         assert deviation < 1e-6
 
-
     @pytest.mark.parametrize(
         "loss_hz, temperature", [(1e9, 0.05), (1e10, 0.05), (1e12, 0.05), (100e3, 1e5)]
     )
@@ -276,7 +275,8 @@ class TestAgainstDensePropagator:
         self, loss_hz, temperature
     ):
         # both losses far above the couplings, or thermally enhanced to
-        # them at 1e5 K: they sit in the integrating factor and bound no step
+        # them at 1e5 K: they sit in the integrating factor and bound no
+        # step (one such loss with the other small is a known limit, README)
         system = benchmark_system(
             mode_count=200,
             mode_spacing=TWO_PI * 2.5e6,
