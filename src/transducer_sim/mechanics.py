@@ -7,9 +7,11 @@ stiffens the fundamental flexural mode, and the mode frequency becomes
 voltage tunable by several GHz.  This module solves the static force
 balance and reports the operating point: deflection, tension, mode
 frequency and zero-point amplitude.  The force balance is a quintic in
-the deflection, so the equilibrium is its smallest real root below the gap
-(parallel-plate pull-in; Pelesko & Bernstein, *Modeling MEMS and NEMS*,
-2002).
+the deflection whose left side rises to one maximum below the gap and then
+falls, so the stable equilibrium is its only root on the rising branch,
+found by two bracketed Newton solves, and a bias above the maximum is
+past pull-in (parallel-plate pull-in; Pelesko & Bernstein, *Modeling MEMS
+and NEMS*, 2002).
 
 All quantities are SI; frequencies are angular (rad/s) unless a name ends
 in ``_hz``.  Deflections are positive toward the bottom electrode.
@@ -19,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import EPSILON_0, HBAR, TWO_PI
 from .errors import PullInError
@@ -46,6 +46,10 @@ _CUBIC_STIFFNESS_COEFF = 8.0 / 3.0
 
 # weight of the tension term in the fundamental-mode frequency
 _TENSION_FREQUENCY_COEFF = 0.57
+
+# a Newton step this small relative to its iterate ends a scalar solve: the
+# error left after it is of the order of its square, far below rounding
+_NEWTON_TOLERANCE = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -248,6 +252,75 @@ def operating_point_at_deflection(
     )
 
 
+def _bracketed_newton(fn, lo: float, hi: float, x: float) -> float:
+    """Root of ``fn`` in [lo, hi] by Newton steps kept inside a sign bracket.
+
+    ``fn(u)`` returns its value and slope; the value is negative at ``lo``,
+    positive at ``hi`` and has one sign change between them.  Each value
+    moves the bracket end of its sign to ``x``, so no iterate repeats.  A
+    Newton step is taken only if it stays inside the bracket and is at most
+    half as long as the step before it; otherwise the bracket is bisected.
+    Steps or bracket therefore halve at least every other evaluation, even
+    where rounding or underflow leaves Newton steps that neither converge
+    nor leave the bracket.  The solve ends after a Newton step shorter than
+    ``_NEWTON_TOLERANCE`` times its start, or when no float is left inside
+    the bracket.
+    """
+    step = hi - lo
+    while True:
+        value, slope = fn(x)
+        if value < 0.0:
+            lo = x
+        elif value > 0.0:
+            hi = x
+        else:
+            return x
+        newton = value / slope if slope > 0.0 else math.inf
+        nxt = x - newton
+        if abs(newton) <= _NEWTON_TOLERANCE * x:
+            return nxt if lo <= nxt <= hi else x
+        if not (lo < nxt < hi and abs(newton) <= 0.5 * step):
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return x
+        step = abs(nxt - x)
+        x = nxt
+
+
+def _stable_root(a: float, b: float) -> float | None:
+    """Stable root u of (u + a u^3)(1 - u)^2 = b for a > 0, or None past pull-in.
+
+    The slope of the left side f factors as f' = (1 - u) g(u) with
+    g(u) = 1 - 3u + 3a u^2 - 5a u^3.  g > 0 up to u = 1/3, g < 0 from 3/5
+    on, and g = 0 reads a = (3u - 1) / (u^2 (3 - 5u)), which rises with u,
+    so g has one root u* in (1/3, 3/5).  f rises from 0 to its only maximum
+    f(u*) and falls after it: for b < f(u*) the stable root is the only
+    root of f - b on [0, u*], and for b >= f(u*) there is none.
+    """
+
+    def minus_g(u):
+        au = a * u
+        return 3.0 * u - 1.0 - au * u * (3.0 - 5.0 * u), 3.0 - 3.0 * au * (2.0 - 5.0 * u)
+
+    # start u* from two passes of its fixed point s = 20 / (a (3 - s)^2 + 15)
+    # in s = 3 - 5u, exact at both limits a -> 0 (u* = 1/3) and a -> inf (3/5)
+    s = 20.0 / (a * (3.0 - 20.0 / (9.0 * a + 15.0)) ** 2 + 15.0)
+    top = _bracketed_newton(minus_g, 1.0 / 3.0, 0.6, (3.0 - s) / 5.0)
+    f_top = (top + a * top ** 3) * (1.0 - top) ** 2
+    if not b < f_top:
+        return None
+
+    def excess(u):
+        w = 1.0 - u
+        return (
+            (u + a * u ** 3) * w * w - b,
+            w * (1.0 + u * (-3.0 + a * u * (3.0 - 5.0 * u))),
+        )
+
+    # start where sqrt(f(u*) - f), linear near u*, reaches sqrt(f(u*) - b)
+    return _bracketed_newton(excess, 0.0, top, top * (1.0 - math.sqrt(1.0 - b / f_top)))
+
+
 def solve_equilibrium(
     geom: MembraneGeometry, env: ElectrostaticEnvironment
 ) -> OperatingPoint:
@@ -255,37 +328,37 @@ def solve_equilibrium(
 
     The balance (k1 x + k3 x^3)(d - x)^2 = eps0 w l V^2 / 2 is a quintic.  In
     u = x/d, with a = k3 d^2/k1 and b = eps0 w l V^2 / (2 k1 d^3), it reads
-    (u + a u^3)(1 - u)^2 = b, whose coefficients stay O(1-10).  The
-    equilibrium is the smallest real root in [0, 1); it must have positive
-    :func:`net_stiffness`.  The operating point carries the induced tension,
-    the mode frequency at that tension and the zero-point amplitude.
+    f(u) = (u + a u^3)(1 - u)^2 = b.  f rises from 0 to one maximum at u* in
+    (1/3, 3/5), the root of f' / (1 - u), and falls after it, so the stable
+    equilibrium is the only root of f - b on [0, u*].  Both u* and that root
+    come from Newton solves kept inside their brackets (bisection when a
+    step leaves one), in about 3 and 5 evaluations.  The root must also have
+    positive :func:`net_stiffness`.  The operating point carries the induced
+    tension, the mode frequency at that tension and the zero-point
+    amplitude.
 
     Raises
     ------
     PullInError
-        If no root lies below the gap, i.e. the bias voltage is past the
-        pull-in instability, or if the root found is not stable.
+        If b >= f(u*), i.e. the bias voltage is past the pull-in
+        instability, or if the root found is not stable.
     """
     if env.bias_voltage == 0.0:
         return operating_point_at_deflection(geom, 0.0)
 
     k1, k3 = _stiffness_coefficients(geom)
     d = env.gap
-    a = k3 * d ** 2 / k1
     b = (
         EPSILON_0 * geom.width * geom.length * env.bias_voltage ** 2
         / (2.0 * k1 * d ** 3)
     )
-    roots = np.roots([a, -2.0 * a, 1.0 + a, -2.0, 1.0, -b])
-    # the roots are O(1), so a real one carries only rounding noise in imag
-    real = roots.real[np.abs(roots.imag) <= 1e-12]
-    below_gap = real[(real >= 0.0) & (real < 1.0)]
-    if below_gap.size == 0:
+    u = _stable_root(k3 * d ** 2 / k1, b)
+    if u is None:
         raise PullInError(
             f"no stable equilibrium below the gap at {env.bias_voltage:g} V "
             f"(pull-in)"
         )
-    root = float(below_gap.min()) * d
+    root = u * d
     if not net_stiffness(geom, env, root) > 0.0:
         raise PullInError(
             f"equilibrium at {root:.3e} m is unstable at {env.bias_voltage:g} V"

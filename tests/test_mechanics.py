@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import epsilon_0
 
@@ -21,9 +21,9 @@ from transducer_sim import (
     zero_point_amplitude,
 )
 
-from transducer_sim.mechanics import bias_for_deflection
+from transducer_sim.mechanics import _stable_root, bias_for_deflection
 
-from conftest import TWO_PI, documented_stiffness
+from conftest import TWO_PI, documented_stiffness, reference_fold, reference_root
 
 
 def replace_geometry(geom, **kwargs):
@@ -321,6 +321,75 @@ class TestSolveEquilibrium:
         residual = abs(restoring - electrostatic_force(env, geom, op.deflection))
         assert residual < 1e-12 * restoring
         assert net_stiffness(geom, env, op.deflection) > 0
+
+    @given(
+        st.floats(min_value=1e-100, max_value=1.0 - 1e-6),
+        st.floats(min_value=0.3e-9, max_value=100e-9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_continuous_in_bias_up_to_pull_in(self, geometry, fraction, thickness):
+        # V = fraction * V*; a root on the unstable branch would fall with V
+        # and carry a negative net stiffness
+        geom = replace_geometry(geometry, thickness=thickness)
+        gap = 10e-9
+        k1, k3 = documented_stiffness(geom)
+        _, f_top = reference_fold(k3 * gap ** 2 / k1)
+        plates = epsilon_0 * geom.width * geom.length
+        v_star = math.sqrt(2.0 * k1 * gap ** 3 * f_top / plates)
+        v = fraction * v_star
+
+        def deflection(bias):
+            env = ElectrostaticEnvironment(gap=gap, bias_voltage=bias)
+            return solve_equilibrium(geom, env).deflection
+
+        # the slope grows as (V* - V)^(-1/2) toward pull-in, so the step is
+        # 1e-6 of the distance to it where that is shorter than 1e-6 V
+        dv = 1e-6 * min(v, v_star - v)
+        x = deflection(v)
+        rise = deflection(v + dv) - x
+        assert rise > 0.0
+        env = ElectrostaticEnvironment(gap=gap, bias_voltage=v)
+        slope = plates * v / (gap - x) ** 2 / net_stiffness(geom, env, x)
+        assert rise / dv == pytest.approx(slope, rel=1e-3)
+
+
+def _balance(a, u):
+    return (u + a * u ** 3) * (1.0 - u) ** 2
+
+
+class TestStableRoot:
+    """The bracketed Newton solve of (u + a u^3)(1 - u)^2 = b against numpy.roots."""
+
+    @given(
+        st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e),
+        st.floats(min_value=1e-14, max_value=2.0),
+    )
+    # a naive stopping rule cycled between two floats on these two points
+    @example(1.0689472014320377e-3, 0.9981270374217045)
+    @example(301.39792550372823, 0.999517431012984)
+    # this close to the fold the Newton steps stall at rounding level and
+    # the solve bisects; only the bracket [0, u*] keeps it on the stable branch
+    @example(10.0, 1.0 - 1e-12)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_companion_matrix_roots(self, a, ratio):
+        u_top, f_top = reference_fold(a)
+        b = ratio * f_top
+        u = _stable_root(a, b)
+        if u is not None:
+            assert abs(_balance(a, u) - b) <= 1e-14 * b
+            assert u <= u_top * (1.0 + 1e-12)
+        # within 1e-13 of the maximum, rounding picks the side of the fold:
+        # numpy.roots flips its decision up to 7e-15 away from it
+        if abs(1.0 - ratio) <= 1e-13:
+            return
+        ref = reference_root(a, b)
+        assert (u is None) == (ref is None)
+        if ref is not None:
+            # 1e-12, times the root's condition number b / (u f'(u)) where
+            # it exceeds 1, as it does near the fold
+            slope = (1.0 - ref) * (1.0 - 3.0 * ref + 3.0 * a * ref ** 2 - 5.0 * a * ref ** 3)
+            kappa = b / (ref * slope)
+            assert u == pytest.approx(ref, rel=1e-12 * max(1.0, kappa))
 
 
 class TestZeroPointAmplitude:
