@@ -61,6 +61,13 @@ _DT_RATE_FRACTION = 0.03
 #: keep runs clear of the revival of the discretized photon comb
 _REVIVAL_SAFETY = 0.95
 
+#: most steps one run may plan; at ~8 us per step this is ~13 min
+MAX_STEPS = 10 ** 8
+
+#: most photon modes one comb may hold; the power table alone is then
+#: 33 x N complex numbers, about 0.5 GB
+MAX_MODE_COUNT = 10 ** 6
+
 #: steps composed into one precomputed block map; the power table holds
 #: 2 _BLOCK + 1 rows of the comb length (about 1 MB at 2000 modes), and a
 #: longer block buys little once the two comb products dominate
@@ -157,6 +164,11 @@ class TransferSystem:
             raise ConfigError("mode_spacing must be positive")
         if self.mode_count < 2:
             raise ConfigError("mode_count must be at least 2")
+        if self.mode_count > MAX_MODE_COUNT:
+            raise ConfigError(
+                f"mode_count exceeds {MAX_MODE_COUNT}; the photon comb would "
+                f"not fit in memory"
+            )
         # the comb must be much wider than the emission line it absorbs
         if self.half_bandwidth < 5.0 * self.kappa * (1.0 - 1e-12):
             raise ConfigError(
@@ -298,13 +310,19 @@ def step_plan(system: TransferSystem, duration: float, dt: float | None = None):
     Raises
     ------
     StepSizeError
-        If ``dt`` is not positive or exceeds :func:`max_timestep`.
+        If ``dt`` is not positive or exceeds :func:`max_timestep`, or if
+        the run takes more than :data:`MAX_STEPS` steps.
     """
     if dt is None:
         dt = default_timestep(system)
     _check_step(system, dt)
     if duration == 0.0:
         return 0, dt
+    if duration / dt > MAX_STEPS:
+        raise StepSizeError(
+            f"{duration:.3e} s at dt = {dt:.3e} s takes more than "
+            f"{MAX_STEPS:.0e} steps"
+        )
     n_steps = max(1, math.ceil(duration / dt))
     return n_steps, duration / n_steps
 

@@ -44,8 +44,13 @@ class ResultTable:
             lines.append(f"# {key}={self.meta[key]}")
         lines.append("# columns: " + ", ".join(f"{n} [{u}]" for n, u in self.columns))
         lines.append(",".join(name for name, _ in self.columns))
-        for row in self.rows:
-            lines.append(",".join(_format_cell(v) for v in row))
+        if self.rows:
+            # one format for every row: a status string as is, any number
+            # through float() to 17 significant digits
+            row_format = ",".join(
+                "%s" if isinstance(v, str) else "%.17g" for v in self.rows[0]
+            )
+            lines.extend(row_format % tuple(row) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
@@ -57,12 +62,6 @@ class ResultTable:
         if not idx:
             raise KeyError(name)
         return [row[idx[0]] for row in self.rows]
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
 
 
 def _require_sweep(config: ExperimentConfig, allowed):

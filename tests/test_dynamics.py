@@ -30,7 +30,7 @@ from transducer_sim import (
     time_to_fidelity,
     transfer_fidelity,
 )
-from transducer_sim.dynamics import max_timestep
+from transducer_sim.dynamics import MAX_MODE_COUNT, MAX_STEPS, max_timestep, step_plan
 
 from conftest import TWO_PI
 
@@ -187,6 +187,20 @@ class TestSystemConstruction:
         assert warm.gamma_lc == pytest.approx(cold.gamma_lc * enhancement, rel=1e-12)
         assert warm.kappa == cold.kappa  # optical occupation is zero
 
+    def test_oversized_comb_rejected(self):
+        TransferSystem(
+            g_om=G50, g_em=G50, kappa=0.0, gamma_m=0.0, gamma_lc=0.0,
+            mode_spacing=TWO_PI * 1e6, mode_count=MAX_MODE_COUNT,
+        )
+        with pytest.raises(ConfigError, match="mode_count"):
+            TransferSystem(
+                g_om=G50, g_em=G50, kappa=0.0, gamma_m=0.0, gamma_lc=0.0,
+                mode_spacing=TWO_PI * 1e6, mode_count=MAX_MODE_COUNT + 1,
+            )
+        # the default comb for a rate of 1e300 Hz asks for ~1e295 modes
+        with pytest.raises(ConfigError, match="mode_count"):
+            make_transfer_system(g_c=TWO_PI * 1e300, kappa=KAPPA50)
+
     def test_mismatched_couplings_have_no_common_rate(self):
         system = TransferSystem(
             g_om=G50, g_em=2 * G50, kappa=KAPPA50, gamma_m=0.0, gamma_lc=0.0,
@@ -211,6 +225,13 @@ class TestStep:
             step(system, initial_state(system), 2 * bound)
         with pytest.raises(StepSizeError):
             step(system, initial_state(system), -1e-12)
+
+    def test_step_count_is_bounded(self):
+        system = benchmark_system()
+        dt = 2.0 ** -40  # a power of two, so dt * MAX_STEPS is exact
+        assert step_plan(system, dt * MAX_STEPS, dt) == (MAX_STEPS, dt)
+        with pytest.raises(StepSizeError, match="steps"):
+            step_plan(system, dt * (MAX_STEPS + 1), dt)
 
     def test_comb_rotation_is_exact(self):
         # without optical coupling each mode only rotates, at any step size

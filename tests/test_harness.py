@@ -1,5 +1,8 @@
 import hashlib
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 from transducer_sim import (
     ConfigError,
+    ResultTable,
     parse_config,
     run_coupling_sweep,
     run_environment_scan,
@@ -17,7 +21,8 @@ from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _build_parser
 
 from conftest import TWO_PI
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 MINIMAL = """
 [geometry]
@@ -308,6 +313,26 @@ class TestDeterminismAndFormat:
         header = [line for line in lines if not line.startswith("#")][0]
         assert header == "bias_voltage,deflection,tension,frequency,status"
 
+    def test_csv_cells_pinned(self):
+        table = ResultTable(
+            columns=[("a", "-"), ("b", "s"), ("c", "-"), ("d", "-"), ("e", "-"), ("status", "-")],
+            rows=[
+                (math.nan, math.inf, -math.inf, np.float64(0.1), 3, "ok"),
+                (np.float64(-0.0), 1e-300, 2 ** 60, np.float64(math.nan), -7, "pull_in"),
+            ],
+            meta={"run": "pinned"},
+        )
+        assert table.to_csv_text() == (
+            "# transducer-sim results, schema v1\n"
+            "# run=pinned\n"
+            "# columns: a [-], b [s], c [-], d [-], e [-], status [-]\n"
+            "a,b,c,d,e,status\n"
+            "nan,inf,-inf,0.10000000000000001,3,ok\n"
+            "-0,1e-300,1.152921504606847e+18,nan,-7,pull_in\n"
+        )
+        empty = ResultTable(columns=[("a", "-")], rows=[])
+        assert empty.to_csv_text().endswith("# columns: a [-]\na\n")
+
     def test_trajectory_runs_report_step_plan_and_comb(self):
         transfer = read_config("paper_defaults.ini").replace(
             "duration_s = 150e-9", "duration_s = 20e-9"
@@ -326,6 +351,15 @@ class TestDeterminismAndFormat:
         assert meta["mode_count"] == 500
         assert meta["mode_spacing_hz"] == pytest.approx(1e6, rel=1e-12)
         assert meta["revival_margin"] == pytest.approx(0.02, rel=1e-12)
+
+
+#: runs each argv through ``cli.main`` in a fresh process and prints the exit codes
+CLI_CODES = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from transducer_sim import cli
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[2])]))
+"""
 
 
 class TestCli:
@@ -384,6 +418,38 @@ class TestCli:
         assert len(populations) > 100
         assert np.all(np.isfinite(populations))
         assert np.all((populations >= 0.0) & (populations <= 1.0 + 1e-8))
+
+    @pytest.mark.parametrize("key", ["g_c_hz", "kappa_hz"])
+    def test_oversized_default_comb_exits_2(self, tmp_path, key):
+        # the default comb for a rate of 1e300 Hz asks for ~1e295 modes
+        text = (
+            read_config("paper_defaults.ini")
+            .replace("mode_spacing_hz = 1e6\n", "")
+            .replace("mode_count = 500\n", "")
+            .replace(f"{key} = 50e6", f"{key} = 1e300")
+        )
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        assert main(["transfer", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_oversized_step_plan_exits_3(self, tmp_path):
+        # on the explicit 500-mode comb, g_c = 1e300 Hz plans 3e295 steps
+        # and 2e13 Hz plans 6e8; a child process with a timeout turns a run
+        # that would not return into a failure
+        runs = []
+        for g_c_hz in ("1e300", "2e13"):
+            cfg = tmp_path / f"{g_c_hz}.ini"
+            cfg.write_text(
+                read_config("paper_defaults.ini").replace("g_c_hz = 50e6", f"g_c_hz = {g_c_hz}")
+            )
+            runs.append(["transfer", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+        done = subprocess.run(
+            [sys.executable, "-c", CLI_CODES, str(ROOT / "src"), json.dumps(runs)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert json.loads(done.stdout) == [EXIT_PHYSICS, EXIT_PHYSICS], done.stderr
 
     def test_physics_error_exits_3(self, tmp_path):
         # a step too coarse for the photon comb is a physics-level refusal
