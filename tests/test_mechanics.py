@@ -329,7 +329,8 @@ class TestSolveEquilibrium:
     @settings(max_examples=100, deadline=None)
     def test_continuous_in_bias_up_to_pull_in(self, geometry, fraction, thickness):
         # V = fraction * V*; a root on the unstable branch would fall with V
-        # and carry a negative net stiffness
+        # and carry a negative net stiffness.  The deflection goes as V^2, so
+        # fractions far below 1e-100 would underflow it to 0.
         geom = replace_geometry(geometry, thickness=thickness)
         gap = 10e-9
         k1, k3 = documented_stiffness(geom)
@@ -364,7 +365,8 @@ class TestStableRoot:
         st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e),
         st.floats(min_value=1e-14, max_value=2.0),
     )
-    # a naive stopping rule cycled between two floats on these two points
+    # a stop rule that waits for an iterate to repeat cycles between two
+    # floats on these two points
     @example(1.0689472014320377e-3, 0.9981270374217045)
     @example(301.39792550372823, 0.999517431012984)
     # this close to the fold the Newton steps stall at rounding level and
