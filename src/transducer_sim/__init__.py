@@ -21,7 +21,6 @@ from .config import ExperimentConfig, SimulationSettings, SweepSettings, parse_c
 from .coupling import (
     EmitterParams,
     cooperativity,
-    effective_decay,
     effective_optomechanical_coupling,
     stark_coupling,
     strain_coupling,
@@ -30,30 +29,16 @@ from .coupling import (
 from .dynamics import (
     ClosedEvolution,
     TrajectoryRecord,
-    TransferState,
     TransferSystem,
     closed_eigensystem,
     closed_evolution,
     closed_generator,
     default_discretization,
     default_timestep,
-    initial_state,
     integrate,
     make_transfer_system,
-    pulse_spectrum,
-    saturation_time,
-    step,
-    survival_probability,
-    time_to_fidelity,
-    transfer_fidelity,
 )
-from .errors import (
-    ConfigError,
-    NotReachedError,
-    PullInError,
-    StepSizeError,
-    TuningError,
-)
+from .errors import ConfigError, PullInError, StepSizeError, TuningError
 from .mechanics import (
     ElectrostaticEnvironment,
     MembraneGeometry,

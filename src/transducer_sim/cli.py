@@ -8,8 +8,8 @@
 Exit codes: 0 success, 2 configuration errors (including a config file
 that cannot be read or decoded, and an output path that cannot be
 written), 3 physics errors that are not survivable inside a sweep
-(pull-in or tuning failure of a single-point run, fidelity threshold not
-reached).
+(pull-in or tuning failure of a single-point run, a trajectory that
+would take more than ``dynamics.MAX_STEPS`` steps).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import sys
 
 from .config import parse_config
-from .errors import ConfigError, NotReachedError, PullInError, StepSizeError, TuningError
+from .errors import ConfigError, PullInError, StepSizeError, TuningError
 from .runner import (
     run_coupling_sweep,
     run_environment_scan,
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PullInError, TuningError, StepSizeError, NotReachedError) as exc:
+    except (PullInError, TuningError, StepSizeError) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
 

@@ -3,7 +3,7 @@
 A config document holds one block per subsystem; every key carries its
 unit in the name.  Unknown sections or keys are rejected so typos fail
 loudly.  Values outside the physical range (a negative sweep start, a
-zero mode frequency or step) are refused here rather than deep inside a
+zero mode frequency) are refused here rather than deep inside a
 run.  Frequencies in documents are ordinary frequencies in Hz and are
 converted to angular rates here.
 """
@@ -71,9 +71,7 @@ _SCHEMA = {
         "mode_frequency_hz",
         "mode_spacing_hz",
         "mode_count",
-        "dt_s",
         "duration_s",
-        "sample_every",
     },
     "sweep": {"variable", "start", "stop", "points", "spacing"},
     "output": {"path"},
@@ -97,9 +95,7 @@ class SimulationSettings:
     mode_frequency: float = TWO_PI * 5e9
     mode_spacing: float | None = None
     mode_count: int | None = None
-    dt: float | None = None
     duration: float | None = None
-    sample_every: int | None = None
 
 
 @dataclass(frozen=True)
@@ -265,12 +261,6 @@ def parse_config(text: str) -> ExperimentConfig:
     mode_frequency = _get_float("simulation", "mode_frequency_hz", get, 5e9)
     if not mode_frequency > 0:
         raise ConfigError("mode_frequency_hz must be positive", "simulation")
-    dt = _get_float("simulation", "dt_s", get)
-    if dt is not None and not dt > 0:
-        raise ConfigError("dt_s must be positive", "simulation")
-    sample_every = _get_int("simulation", "sample_every", get)
-    if sample_every is not None and sample_every < 1:
-        raise ConfigError("sample_every must be >= 1", "simulation")
     simulation = SimulationSettings(
         g_c=None if g_c is None else TWO_PI * g_c,
         kappa=TWO_PI * _get_float("simulation", "kappa_hz", get, 50e6),
@@ -280,9 +270,7 @@ def parse_config(text: str) -> ExperimentConfig:
         mode_frequency=TWO_PI * mode_frequency,
         mode_spacing=None if mode_spacing is None else TWO_PI * mode_spacing,
         mode_count=mode_count,
-        dt=dt,
         duration=duration,
-        sample_every=sample_every,
     )
 
     sweep = None

@@ -6,8 +6,9 @@ strain (strain coupling) and it modulates the electric field of the biased
 gap (Stark coupling).  A red-detuned drive of Rabi rate Omega converts the
 dispersive shift into an excitation-exchanging coupling of strength
 (Omega/2)(g_om/omega_m).  This module also provides the Bose thermal
-occupation, with which the transfer dynamics enhances its decay rates,
-the (n_bar + 1) decay and the cooperativity.
+occupation, with which the transfer dynamics enhances its decay rates
+by (n_bar + 1) (inline, in ``dynamics.make_transfer_system``), and the
+cooperativity.
 
 These are leaf formulas: the runner combines the operating point, the
 circuit and these rates itself, and transfer runs take their matched
@@ -110,16 +111,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = HBAR * omega / (K_B * temperature)
     if x > 700.0:  # exp would overflow; occupation is far below double precision
         return 0.0
+    if x == 0.0:  # hbar w underflows; the occupation is beyond every float
+        return math.inf
     return 1.0 / math.expm1(x)
-
-
-def effective_decay(rate: float, n_bar: float) -> float:
-    """Stimulated-emission-enhanced decay rate (n_bar + 1) * rate."""
-    if not rate > 0:
-        raise ValueError("rate must be positive")
-    if n_bar < 0:
-        raise ValueError("n_bar must be nonnegative")
-    return (n_bar + 1.0) * rate
 
 
 def cooperativity(g: float, rate_a: float, rate_b: float) -> float:

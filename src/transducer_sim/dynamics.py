@@ -27,8 +27,8 @@ RK4 stages see only the couplings, so the step is set by them rather than
 by the comb bandwidth or a loss rate.  The default step is
 0.03 / max(g_om, g_em, kappa), capped at :func:`max_timestep`; 0.03 is
 where the norm-drift gate binds (lossless, 1 us, 1000 modes: drift 1.5e-9
-against 1e-8, where 0.05 gives 1.9e-8).  ``step``, ``integrate`` and
-``time_to_fidelity`` all advance through one stepping core.  A run is
+against 1e-8, where 0.05 gives 1.9e-8).  :func:`integrate` is the one
+trajectory entry point over the stepping core :func:`_advance`.  A run is
 valid only while it stays clear of the discretization revival time
 2 pi / delta_w.
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .coupling import thermal_occupation
-from .errors import ConfigError, NotReachedError, StepSizeError
+from .errors import ConfigError, StepSizeError
 
 #: hard ceiling on the step relative to the fastest detuned mode
 MAX_STEP_FRACTION = 0.05
@@ -156,6 +156,12 @@ class TransferSystem:
     mode_count: int
 
     def __post_init__(self):
+        rates = (self.g_om, self.g_em, self.kappa, self.gamma_m, self.gamma_lc)
+        if not all(map(math.isfinite, rates)):
+            raise ConfigError(
+                "coupling and decay rates must be finite, also after the "
+                "(n_bar + 1) thermal factor"
+            )
         if self.g_om < 0 or self.g_em < 0:
             raise ConfigError("coupling rates must be nonnegative")
         if self.kappa < 0 or self.gamma_m < 0 or self.gamma_lc < 0:
@@ -169,6 +175,8 @@ class TransferSystem:
                 f"mode_count exceeds {MAX_MODE_COUNT}; the photon comb would "
                 f"not fit in memory"
             )
+        if not math.isfinite(self.half_bandwidth):
+            raise ConfigError("photon bandwidth N delta_w / 2 must be finite")
         # the comb must be much wider than the emission line it absorbs
         if self.half_bandwidth < 5.0 * self.kappa * (1.0 - 1e-12):
             raise ConfigError(
@@ -197,13 +205,6 @@ class TransferSystem:
         return self._detunings
 
     @property
-    def g_c(self) -> float:
-        """Common coupling rate when the two couplings are matched."""
-        if self.g_om != self.g_em:
-            raise ValueError("couplings are not matched; use g_om / g_em")
-        return self.g_om
-
-    @property
     def revival_time(self) -> float:
         """Recurrence time 2 pi / delta_w of the discretized comb (s)."""
         return TWO_PI / self.mode_spacing
@@ -213,65 +214,8 @@ class TransferSystem:
         return self.mode_count + 3
 
 
-@dataclass(frozen=True)
-class TransferState:
-    """Amplitudes of the tracked single-excitation state at one time.
-
-    ``amplitudes`` is the contiguous complex vector (c1, c2, c3,
-    c_w1..c_wN); treat it as read-only.
-    """
-
-    time: float
-    amplitudes: np.ndarray
-
-    @property
-    def c1(self) -> complex:
-        """|e,00> amplitude."""
-        return self.amplitudes[0]
-
-    @property
-    def c2(self) -> complex:
-        """|g,10> (phonon) amplitude."""
-        return self.amplitudes[1]
-
-    @property
-    def c3(self) -> complex:
-        """|g,01> (microwave photon) amplitude."""
-        return self.amplitudes[2]
-
-    @property
-    def mode_amplitudes(self) -> np.ndarray:
-        return self.amplitudes[3:]
-
-
-def initial_state(system: TransferSystem) -> TransferState:
-    """Microwave photon loaded: c3 = 1, everything else empty."""
-    y = np.zeros(system.size, dtype=complex)
-    y[2] = 1.0
-    return TransferState(time=0.0, amplitudes=y)
-
-
-def survival_probability(state: TransferState) -> float:
-    """Probability that no quantum has leaked through the lossy channels."""
-    return float(np.sum(np.abs(state.amplitudes) ** 2))
-
-
-def transfer_fidelity(state: TransferState) -> float:
-    """Total population of the free-space photon modes."""
-    return float(np.sum(np.abs(state.amplitudes[3:]) ** 2))
-
-
-def pulse_spectrum(system: TransferSystem, state: TransferState):
-    """Photon-mode populations versus detuning.
-
-    Returns ``(detunings, weights)`` arrays of length N; the weights sum to
-    the transfer fidelity.
-    """
-    return system.detunings.copy(), np.abs(state.amplitudes[3:]) ** 2
-
-
 def max_timestep(system: TransferSystem) -> float:
-    """Largest accepted step (s).
+    """Cap on the step (s).
 
     The comb rotation is exact, but the stages sample the emitter's drive
     of every mode, which must stay resolved at the fastest detuning:
@@ -281,7 +225,7 @@ def max_timestep(system: TransferSystem) -> float:
 
 
 def default_timestep(system: TransferSystem) -> float:
-    """Fixed step used when the caller does not set one (s).
+    """Fixed step of every trajectory, before :func:`step_plan` shrinks it (s).
 
     ``0.03 / max(g_om, g_em, kappa)``, capped at :func:`max_timestep`.
     """
@@ -290,32 +234,21 @@ def default_timestep(system: TransferSystem) -> float:
     return min(_DT_RATE_FRACTION / rate, bound) if rate > 0 else bound
 
 
-def _check_step(system: TransferSystem, dt: float):
-    if not dt > 0:
-        raise StepSizeError("dt must be positive")
-    bound = max_timestep(system)
-    if dt > bound * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"dt = {dt:.3e} s exceeds the resolution bound {bound:.3e} s "
-            f"for half-bandwidth {system.half_bandwidth:.3e} rad/s"
-        )
-
-
-def step_plan(system: TransferSystem, duration: float, dt: float | None = None):
+def step_plan(system: TransferSystem, duration: float):
     """``(n_steps, dt)`` that lands an integer number of steps on ``duration``.
 
-    ``n_steps = ceil(duration / dt)`` for the requested (or default) step,
+    ``n_steps = ceil(duration / dt)`` for the :func:`default_timestep`,
     which is then shrunk to ``duration / n_steps``.
 
     Raises
     ------
     StepSizeError
-        If ``dt`` is not positive or exceeds :func:`max_timestep`, or if
-        the run takes more than :data:`MAX_STEPS` steps.
+        If the step is not positive, or if the run takes more than
+        :data:`MAX_STEPS` steps.
     """
-    if dt is None:
-        dt = default_timestep(system)
-    _check_step(system, dt)
+    dt = default_timestep(system)
+    if not dt > 0:
+        raise StepSizeError("dt must be positive")
     if duration == 0.0:
         return 0, dt
     if duration / dt > MAX_STEPS:
@@ -487,19 +420,6 @@ def _advance(
     return y, np.concatenate(samples) if samples else np.empty((0, 6))
 
 
-def step(system: TransferSystem, state: TransferState, dt: float) -> TransferState:
-    """Advance the full amplitude vector by one integrating-factor RK4 step.
-
-    Raises
-    ------
-    StepSizeError
-        If ``dt`` exceeds the resolution bound 0.05 * 2 pi / half_bandwidth.
-    """
-    _check_step(system, dt)
-    y, _ = _advance(system, state.amplitudes, dt, 1)
-    return TransferState(time=state.time + dt, amplitudes=y)
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Sampled populations of one integration run."""
@@ -510,7 +430,7 @@ class TrajectoryRecord:
     p_circuit: np.ndarray    # |c3|^2
     survival: np.ndarray     # P_n
     fidelity: np.ndarray     # F_trans
-    final_state: TransferState
+    final_amplitudes: np.ndarray  # (c1, c2, c3, c_w1..c_wN) at the end
 
     @property
     def max_fidelity(self) -> float:
@@ -533,10 +453,7 @@ def _check_duration(system: TransferSystem, duration: float):
 
 
 def integrate(
-    system: TransferSystem,
-    duration: float,
-    dt: float | None = None,
-    record_every: int = 1,
+    system: TransferSystem, duration: float, record_every: int = 1
 ) -> TrajectoryRecord:
     """Integrate from the loaded microwave photon and record populations.
 
@@ -547,10 +464,11 @@ def integrate(
     _check_duration(system, duration)
     if record_every < 1:
         raise ConfigError("record_every must be >= 1")
-    n_steps, dt = step_plan(system, duration, dt)
-    y, samples = _advance(
-        system, initial_state(system).amplitudes, dt, n_steps, record_every
-    )
+    n_steps, dt = step_plan(system, duration)
+    # the microwave photon loaded: c3 = 1, everything else empty
+    y = np.zeros(system.size, dtype=complex)
+    y[2] = 1.0
+    y, samples = _advance(system, y, dt, n_steps, record_every)
     return TrajectoryRecord(
         times=samples[:, 0],
         p_emitter=samples[:, 1],
@@ -558,41 +476,8 @@ def integrate(
         p_circuit=samples[:, 3],
         survival=samples[:, 4],
         fidelity=samples[:, 5],
-        final_state=TransferState(time=duration, amplitudes=y),
+        final_amplitudes=y,
     )
-
-
-def time_to_fidelity(
-    system: TransferSystem,
-    threshold: float,
-    t_max: float,
-    dt: float | None = None,
-) -> float:
-    """First time at which the transfer fidelity reaches ``threshold``.
-
-    The first crossing of :func:`integrate` over ``t_max``, sampled every
-    step.
-
-    Raises
-    ------
-    NotReachedError
-        If the threshold is not crossed within ``t_max``; the exception
-        carries the maximum fidelity achieved.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    record = integrate(system, t_max, dt=dt, record_every=1)
-    t = record.first_time(threshold)
-    if math.isnan(t):
-        raise NotReachedError(
-            threshold=threshold, max_fidelity=record.max_fidelity, t_max=t_max
-        )
-    return t
-
-
-def saturation_time(record: TrajectoryRecord, tolerance: float = 0.005) -> float:
-    """First sampled time at which the fidelity is within ``tolerance`` of its maximum."""
-    return record.first_time(record.max_fidelity - tolerance)
 
 
 def default_discretization(g_max: float, kappa: float):
@@ -603,6 +488,12 @@ def default_discretization(g_max: float, kappa: float):
     the comb must cover, which takes a wider bandwidth.  The count is
     raised when a large optical decay needs more bandwidth than the tier
     provides.
+
+    Raises
+    ------
+    ConfigError
+        If the rates need more than :data:`MAX_MODE_COUNT` modes, or a
+        count that does not fit in a float.
     """
     if g_max <= TWO_PI * 10e6:
         spacing, count = TWO_PI * 0.25e6, 2000
@@ -611,7 +502,14 @@ def default_discretization(g_max: float, kappa: float):
     else:
         spacing, count = TWO_PI * 1e6, 2000
     required = max(5.0 * kappa, math.sqrt(2.0) * g_max + 3.5 * kappa)
-    n_min = math.ceil(2.0 * required / spacing)
+    n_min = 2.0 * required / spacing
+    # the negated test also refuses inf and NaN, which math.ceil cannot take
+    if not n_min <= MAX_MODE_COUNT:
+        raise ConfigError(
+            f"the default comb needs mode_count = {n_min:.3e}, above "
+            f"{MAX_MODE_COUNT}; the photon comb would not fit in memory"
+        )
+    n_min = math.ceil(n_min)
     n_min += n_min % 2
     return spacing, max(count, n_min)
 

@@ -27,20 +27,6 @@ class ConfigError(Exception):
 
 
 class StepSizeError(Exception):
-    """Integration step too large to resolve the fastest detuned mode."""
+    """A trajectory's step plan cannot be run: a step that is not positive,
+    or more steps than ``dynamics.MAX_STEPS``."""
 
-
-class NotReachedError(Exception):
-    """A fidelity threshold was not reached within the allowed time.
-
-    Carries the maximum fidelity achieved so callers can report it.
-    """
-
-    def __init__(self, threshold, max_fidelity, t_max):
-        super().__init__(
-            f"fidelity {threshold:g} not reached within {t_max:g} s "
-            f"(maximum achieved: {max_fidelity:.6f})"
-        )
-        self.threshold = threshold
-        self.max_fidelity = max_fidelity
-        self.t_max = t_max

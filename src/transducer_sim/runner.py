@@ -187,9 +187,9 @@ def _build_system(config: ExperimentConfig, g_c: float, kappa: float, temperatur
     )
 
 
-def _trajectory_info(system, duration: float, dt: float | None) -> dict:
+def _trajectory_info(system, duration: float) -> dict:
     """Header fields: the step plan and the comb of one trajectory."""
-    steps, dt = dynamics.step_plan(system, duration, dt)
+    steps, dt = dynamics.step_plan(system, duration)
     return {
         "dt_s": dt,
         "steps": steps,
@@ -207,10 +207,9 @@ def run_transfer(config: ExperimentConfig) -> ResultTable:
     if sim.duration is None:
         raise ConfigError("missing required field", "simulation", "duration_s")
     system = _build_system(config, sim.g_c, sim.kappa, sim.temperature)
-    info = _trajectory_info(system, sim.duration, sim.dt)
-    record_every = sim.sample_every or max(1, info["steps"] // 500)
+    info = _trajectory_info(system, sim.duration)
     record = dynamics.integrate(
-        system, sim.duration, dt=sim.dt, record_every=record_every
+        system, sim.duration, record_every=max(1, info["steps"] // 500)
     )
     rows = [
         (
@@ -259,10 +258,8 @@ def run_environment_scan(config: ExperimentConfig) -> ResultTable:
             kappa = TWO_PI * value
             g_c, temperature = kappa, sim.temperature
         system = _build_system(config, g_c, kappa, temperature)
-        info = _trajectory_info(system, sim.duration, sim.dt)
-        record = dynamics.integrate(
-            system, sim.duration, dt=sim.dt, record_every=1
-        )
+        info = _trajectory_info(system, sim.duration)
+        record = dynamics.integrate(system, sim.duration, record_every=1)
         t95 = record.first_time(FIDELITY_THRESHOLD)
         status = STATUS_NOT_REACHED if math.isnan(t95) else STATUS_OK
         row = (value, record.max_fidelity, float(record.survival[-1]), t95, status)

@@ -33,12 +33,10 @@ from transducer_sim import (
     electromechanical_coupling,
     flexural_frequency,
     induced_tension,
-    initial_state,
     integrate,
     make_transfer_system,
     matched_circuit,
     operating_point_at_deflection,
-    saturation_time,
     solve_equilibrium,
     stark_coupling,
     strain_coupling,
@@ -290,7 +288,9 @@ def test_criterion_5_transfer_fidelities(transfer_records):
                 f"{t95 * 1e9:.1f} ns",
             )
         )
-    t_sat = saturation_time(transfer_records[5e6])
+    # saturation: the first sample within 0.005 of the maximum fidelity
+    record = transfer_records[5e6]
+    t_sat = record.first_time(record.max_fidelity - 0.005)
     checks.append(
         (
             "time to maximum at g=5 MHz = 800 ns +-20%",
@@ -414,15 +414,17 @@ def test_criterion_8_property_suite(transfer_records):
     generator[2, 2] = -0.5 * system.gamma_lc
     generator[3:, 0] = -kp
     generator[np.arange(3, n), np.arange(3, n)] = -1j * detunings
-    oracle = expm(generator * t_end) @ initial_state(system).amplitudes
-    fixed_step = integrate(system, t_end).final_state.amplitudes
+    loaded = np.zeros(n, dtype=complex)
+    loaded[2] = 1.0  # the microwave photon
+    oracle = expm(generator * t_end) @ loaded
+    fixed_step = integrate(system, t_end).final_amplitudes
     deviation = float(np.max(np.abs(fixed_step - oracle)))
     checks.append(
         ("matrix-exponential oracle agreement < 1e-6", deviation < 1e-6, f"{deviation:.2e}")
     )
 
     # bit-identical determinism
-    again = integrate(system, t_end).final_state.amplitudes
+    again = integrate(system, t_end).final_amplitudes
     identical = np.array_equal(fixed_step, again)
     checks.append(("bit-identical rerun", identical, "exact match" if identical else "diverged"))
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,8 @@ from transducer_sim import (
     EmitterParams,
     OperatingPoint,
     cooperativity,
-    effective_decay,
     effective_optomechanical_coupling,
+    make_transfer_system,
     operating_point_at_deflection,
     solve_equilibrium,
     stark_coupling,
@@ -122,6 +124,11 @@ class TestThermalOccupation:
         # optical transition at any cryogenic temperature
         assert thermal_occupation(TWO_PI * 5e14, 1.0) == 0.0
 
+    def test_underflowing_quantum_is_infinite(self):
+        # hbar w underflows to 0 for w = 1e-300 rad/s: the occupation is
+        # beyond every float, and 1 / expm1(0) would divide by zero
+        assert thermal_occupation(1e-300, 0.05) == math.inf
+
     def test_classical_limit(self):
         # kB T / (hbar w) = 20: Bose occupation within 5% of equipartition
         omega = TWO_PI * 5e9
@@ -137,12 +144,34 @@ class TestThermalOccupation:
 
 
 class TestEffectiveDecay:
+    """The (n_bar + 1) decay enhancement, applied inline by ``make_transfer_system``."""
+
+    @staticmethod
+    def losses(rate, temperature, mode_frequency=TWO_PI * 5e9):
+        system = make_transfer_system(
+            g_c=TWO_PI * 50e6,
+            kappa=TWO_PI * 50e6,
+            gamma_m=rate,
+            gamma_lc=rate,
+            mode_spacing=TWO_PI * 1e6,
+            mode_count=500,
+            temperature=temperature,
+            mode_frequency=mode_frequency,
+        )
+        return system.gamma_m, system.gamma_lc
+
     def test_ground_state_unchanged(self):
-        assert effective_decay(TWO_PI * 100e3, 0.0) == TWO_PI * 100e3
+        assert self.losses(TWO_PI * 100e3, 0.0) == (TWO_PI * 100e3,) * 2
+        # a zero loss stays zero at any temperature
+        assert self.losses(0.0, 1.0) == (0.0, 0.0)
 
     def test_benchmark(self):
-        rate = effective_decay(TWO_PI * 100e3, 0.008)
-        assert rate == pytest.approx(TWO_PI * 100.8e3, rel=1e-9)
+        # 5 GHz at 50 mK: n_bar = 0.0083
+        gamma_m, gamma_lc = self.losses(TWO_PI * 100e3, 0.05)
+        assert gamma_m == gamma_lc == pytest.approx(TWO_PI * 100.83e3, rel=1e-4)
 
     def test_one_quantum_doubles(self):
-        assert effective_decay(3.0, 1.0) == pytest.approx(6.0, rel=1e-15)
+        # n_bar = 1 where hbar w / kB T = ln 2
+        omega = TWO_PI * 5e9
+        gamma_m, _ = self.losses(3.0, HBAR * omega / (K_B * math.log(2.0)), omega)
+        assert gamma_m == pytest.approx(6.0, rel=1e-12)

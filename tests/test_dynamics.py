@@ -10,27 +10,24 @@ from scipy.sparse.linalg import expm_multiply
 
 from transducer_sim import (
     ConfigError,
-    NotReachedError,
     StepSizeError,
-    TransferState,
     TransferSystem,
     closed_eigensystem,
     closed_evolution,
     closed_generator,
     default_discretization,
     default_timestep,
-    initial_state,
     integrate,
     make_transfer_system,
-    pulse_spectrum,
-    saturation_time,
-    step,
-    survival_probability,
     thermal_occupation,
-    time_to_fidelity,
-    transfer_fidelity,
 )
-from transducer_sim.dynamics import MAX_MODE_COUNT, MAX_STEPS, max_timestep, step_plan
+from transducer_sim.dynamics import (
+    MAX_MODE_COUNT,
+    MAX_STEPS,
+    _advance,
+    max_timestep,
+    step_plan,
+)
 
 from conftest import TWO_PI
 
@@ -52,6 +49,13 @@ def benchmark_system(**overrides):
     )
     kwargs.update(overrides)
     return make_transfer_system(**kwargs)
+
+
+def loaded(system):
+    """Amplitude vector with the microwave photon loaded: c3 = 1."""
+    y = np.zeros(system.size, dtype=complex)
+    y[2] = 1.0
+    return y
 
 
 def dense_generator(system):
@@ -201,37 +205,62 @@ class TestSystemConstruction:
         with pytest.raises(ConfigError, match="mode_count"):
             make_transfer_system(g_c=TWO_PI * 1e300, kappa=KAPPA50)
 
-    def test_mismatched_couplings_have_no_common_rate(self):
-        system = TransferSystem(
-            g_om=G50, g_em=2 * G50, kappa=KAPPA50, gamma_m=0.0, gamma_lc=0.0,
-            mode_spacing=TWO_PI * 1e6, mode_count=500,
-        )
-        with pytest.raises(ValueError):
-            _ = system.g_c
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            dict(g_c=math.inf, kappa=KAPPA50),
+            dict(g_c=G50, kappa=math.inf),
+            dict(g_c=G50, kappa=KAPPA50, gamma_m=math.inf),
+            dict(g_c=G50, kappa=KAPPA50, gamma_lc=math.nan),
+            # a finite rate whose (n + 1) factor overflows: n is inf when
+            # hbar w underflows
+            dict(g_c=G50, kappa=KAPPA50, gamma_m=GAMMA, mode_frequency=1e-300,
+                 temperature=0.05),
+        ],
+    )
+    def test_non_finite_rates_rejected(self, rates):
+        with pytest.raises(ConfigError, match="finite"):
+            make_transfer_system(mode_spacing=TWO_PI * 1e6, mode_count=500, **rates)
+
+    def test_non_finite_bandwidth_rejected(self):
+        # 500 modes at 1e307 Hz are finite one by one but overflow as a comb
+        for spacing in (TWO_PI * 1e307, math.inf):
+            with pytest.raises(ConfigError, match="bandwidth"):
+                make_transfer_system(
+                    g_c=G50, kappa=KAPPA50, mode_spacing=spacing, mode_count=500
+                )
+
+    @pytest.mark.parametrize(
+        "g_max, kappa",
+        [(G50, TWO_PI * 1e307), (G50, math.inf), (math.inf, KAPPA50),
+         (G50, TWO_PI * 1e12)],
+    )
+    def test_default_discretization_refuses_oversized_comb(self, g_max, kappa):
+        # refused from the float count, before math.ceil sees an inf
+        with pytest.raises(ConfigError, match="mode_count"):
+            default_discretization(g_max, kappa)
 
 
 class TestStep:
     def test_first_order_response(self):
         system = benchmark_system(temperature=0.0)
         dt = default_timestep(system)
-        state = step(system, initial_state(system), dt)
+        y, _ = _advance(system, loaded(system), dt, 1)
         # from c3 = 1, the phonon picks up -i g dt to first order
-        assert state.c2 == pytest.approx(-1j * system.g_em * dt, rel=5e-3)
-
-    def test_oversized_step_rejected(self):
-        system = benchmark_system()
-        bound = 0.05 * TWO_PI / system.half_bandwidth
-        with pytest.raises(StepSizeError):
-            step(system, initial_state(system), 2 * bound)
-        with pytest.raises(StepSizeError):
-            step(system, initial_state(system), -1e-12)
+        assert y[1] == pytest.approx(-1j * system.g_em * dt, rel=5e-3)
 
     def test_step_count_is_bounded(self):
-        system = benchmark_system()
-        dt = 2.0 ** -40  # a power of two, so dt * MAX_STEPS is exact
-        assert step_plan(system, dt * MAX_STEPS, dt) == (MAX_STEPS, dt)
+        # 0.03 / (0.03 * 2^40) is exactly 2^-40, so dt * MAX_STEPS is exact
+        g = 0.03 * 2.0 ** 40
+        system = TransferSystem(
+            g_om=g, g_em=g, kappa=0.0, gamma_m=0.0, gamma_lc=0.0,
+            mode_spacing=TWO_PI * 1e6, mode_count=500,
+        )
+        dt = default_timestep(system)
+        assert dt == 2.0 ** -40
+        assert step_plan(system, dt * MAX_STEPS) == (MAX_STEPS, dt)
         with pytest.raises(StepSizeError, match="steps"):
-            step_plan(system, dt * (MAX_STEPS + 1), dt)
+            step_plan(system, dt * (MAX_STEPS + 1))
 
     def test_comb_rotation_is_exact(self):
         # without optical coupling each mode only rotates, at any step size
@@ -243,9 +272,9 @@ class TestStep:
         y[2] = 1.0
         y[3:] = rng.normal(size=500) + 1j * rng.normal(size=500)
         dt = max_timestep(system)
-        state = step(system, TransferState(0.0, y), dt)
+        got, _ = _advance(system, y, dt, 1)
         expected = np.exp(-1j * system.detunings * dt) * y[3:]
-        assert np.max(np.abs(state.mode_amplitudes - expected)) < 1e-14
+        assert np.max(np.abs(got[3:] - expected)) < 1e-14
 
     def test_closed_limit_matches_analytic(self):
         # no decay at all: the three-state exchange, photon modes inert
@@ -253,16 +282,11 @@ class TestStep:
             g_c=G50, kappa=0.0, mode_spacing=TWO_PI * 1e6, mode_count=64
         )
         period = TWO_PI / (math.sqrt(2.0) * G50)
-        state = initial_state(system)
-        dt = 0.01 / G50
-        n_steps = math.ceil(period / dt)
-        dt = period / n_steps
-        for _ in range(n_steps):
-            state = step(system, state, dt)
+        y = integrate(system, period).final_amplitudes
         analytic = closed_evolution(G50, period)
-        assert abs(state.c3 - analytic[0]) < 1e-6
-        assert abs(state.c2 - analytic[1]) < 1e-6
-        assert abs(state.c1 - analytic[2]) < 1e-6
+        assert abs(y[2] - analytic[0]) < 1e-6
+        assert abs(y[1] - analytic[1]) < 1e-6
+        assert abs(y[0] - analytic[2]) < 1e-6
 
 
 class TestAgainstDensePropagator:
@@ -270,8 +294,8 @@ class TestAgainstDensePropagator:
         system = benchmark_system(mode_count=200, mode_spacing=TWO_PI * 2.5e6)
         t_end = 50e-9
         record = integrate(system, t_end)
-        oracle = expm(dense_generator(system) * t_end) @ initial_state(system).amplitudes
-        deviation = np.max(np.abs(record.final_state.amplitudes - oracle))
+        oracle = expm(dense_generator(system) * t_end) @ loaded(system)
+        deviation = np.max(np.abs(record.final_amplitudes - oracle))
         assert deviation < 1e-6
 
     def test_widest_comb_matches_matrix_exponential(self):
@@ -284,9 +308,9 @@ class TestAgainstDensePropagator:
         record = integrate(system, t_end)
         oracle = expm_multiply(
             csr_matrix(dense_generator(system)) * t_end,
-            initial_state(system).amplitudes,
+            loaded(system),
         )
-        deviation = np.max(np.abs(record.final_state.amplitudes - oracle))
+        deviation = np.max(np.abs(record.final_amplitudes - oracle))
         assert deviation < 1e-6
 
     @pytest.mark.parametrize(
@@ -307,7 +331,7 @@ class TestAgainstDensePropagator:
         )
         t_end = 50e-9
         record = integrate(system, t_end)
-        oracle = expm(dense_generator(system) * t_end) @ initial_state(system).amplitudes
+        oracle = expm(dense_generator(system) * t_end) @ loaded(system)
         f_oracle = float(np.sum(np.abs(oracle[3:]) ** 2))
         assert abs(record.fidelity[-1] - f_oracle) < 1e-6
 
@@ -373,11 +397,11 @@ def record():
 
 
 class TestObservables:
-    def test_initial_state_normalised(self):
-        state = initial_state(benchmark_system())
-        assert survival_probability(state) == 1.0
-        assert transfer_fidelity(state) == 0.0
-        assert state.c3 == 1.0
+    def test_initial_state_normalised(self, record):
+        assert record.times[0] == 0.0
+        assert record.survival[0] == 1.0
+        assert record.fidelity[0] == 0.0
+        assert record.p_circuit[0] == 1.0
 
     def test_survival_above_99_percent(self, record):
         assert record.survival[-1] > 0.99
@@ -399,40 +423,36 @@ class TestObservables:
         assert drawdown < 1e-4
 
     def test_pulse_spectrum(self, record):
+        # the photon-mode populations versus detuning
         system = benchmark_system()
-        detunings, weights = pulse_spectrum(system, record.final_state)
-        assert len(detunings) == len(weights) == system.mode_count
-        assert weights.sum() == pytest.approx(
-            transfer_fidelity(record.final_state), abs=1e-12
-        )
-        peak = detunings[np.argmax(weights)]
+        weights = np.abs(record.final_amplitudes[3:]) ** 2
+        assert len(weights) == len(system.detunings) == system.mode_count
+        assert weights.sum() == pytest.approx(record.fidelity[-1], abs=1e-12)
+        peak = system.detunings[np.argmax(weights)]
         assert abs(peak) < system.kappa  # single peak near zero detuning
 
     def test_spectrum_empty_at_start(self):
-        system = benchmark_system()
-        _, weights = pulse_spectrum(system, initial_state(system))
-        assert np.all(weights == 0.0)
+        y = integrate(benchmark_system(), 0.0).final_amplitudes
+        assert np.all(y[3:] == 0.0)
 
 
 class TestTimeToFidelity:
-    def test_benchmark_crossing(self):
-        t95 = time_to_fidelity(benchmark_system(), 0.95, t_max=150e-9)
-        assert t95 == pytest.approx(33e-9, rel=0.2)
+    def test_benchmark_crossing(self, record):
+        assert record.first_time(0.95) == pytest.approx(33e-9, rel=0.2)
 
-    def test_same_steps_as_integrate(self):
-        system = benchmark_system()
-        record = integrate(system, 150e-9, record_every=1)
-        first = record.times[np.nonzero(record.fidelity >= 0.95)[0][0]]
-        assert time_to_fidelity(system, 0.95, t_max=150e-9) == first
+    def test_same_steps_as_integrate(self, record):
+        # recorded at every step, the crossing lands on the step grid
+        t95 = record.first_time(0.95)
+        first = np.flatnonzero(record.fidelity >= 0.95)[0]
+        assert t95 == record.times[first]
+        assert record.fidelity[first - 1] < 0.95
+        n_steps, dt = step_plan(benchmark_system(), 150e-9)
+        assert len(record.times) == n_steps + 1
+        assert t95 / dt == pytest.approx(first, abs=1e-6)
 
-    def test_unreachable_threshold(self):
-        with pytest.raises(NotReachedError) as excinfo:
-            time_to_fidelity(benchmark_system(), 0.999, t_max=150e-9)
-        assert 0.99 < excinfo.value.max_fidelity < 0.999
-
-    def test_threshold_domain(self):
-        with pytest.raises(ValueError):
-            time_to_fidelity(benchmark_system(), 1.5, t_max=1e-9)
+    def test_unreachable_threshold(self, record):
+        assert math.isnan(record.first_time(0.999))
+        assert 0.99 < record.max_fidelity < 0.999
 
 
 class TestIntegrate:
@@ -450,12 +470,12 @@ class TestIntegrate:
     def test_deterministic_reruns(self):
         a = integrate(benchmark_system(), 40e-9)
         b = integrate(benchmark_system(), 40e-9)
-        assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+        assert np.array_equal(a.final_amplitudes, b.final_amplitudes)
         assert np.array_equal(a.fidelity, b.fidelity)
 
-    def test_saturation_time_helper(self):
-        record = integrate(benchmark_system(), 150e-9)
-        t_sat = saturation_time(record)
+    def test_saturation_time_helper(self, record):
+        # saturation: the first sample within 0.005 of the maximum
+        t_sat = record.first_time(record.max_fidelity - 0.005)
         assert 0 < t_sat < 150e-9
         idx = np.searchsorted(record.times, t_sat)
         assert record.fidelity[idx] >= record.max_fidelity - 0.005

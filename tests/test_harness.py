@@ -66,6 +66,7 @@ OUT_OF_RANGE = {
             "mode_frequency_hz = 5e9", "mode_frequency_hz = 0"
         ),
     ),
+    # dt_s left the schema, so this is now refused as an unknown key
     "negative_dt": ("transfer", read_config("paper_defaults.ini") + "dt_s = -1e-12\n"),
     # non-finite values, which comparisons such as temperature < 0 let through
     "temperature_nan": (
@@ -87,6 +88,65 @@ OUT_OF_RANGE = {
     "gap_nan": (
         "mechanics",
         MINIMAL.replace("gap_m = 10e-9", "gap_m = nan") + sweep("bias_voltage", 0, 1),
+    ),
+}
+
+
+def without_comb(text):
+    """The document with its explicit photon comb removed."""
+    return text.replace("mode_spacing_hz = 1e6\n", "").replace("mode_count = 500\n", "")
+
+
+#: the rate keys of paper_defaults.ini and their values there
+RATE_KEYS = {
+    "g_c_hz": "50e6",
+    "kappa_hz": "50e6",
+    "gamma_m_hz": "100e3",
+    "gamma_lc_hz": "100e3",
+    "mode_frequency_hz": "5e9",
+}
+
+#: (command, document) pairs with a rate or comb spacing that overflows
+OVERFLOWING = {
+    "default_comb_kappa_1e307": (
+        "transfer",
+        without_comb(read_config("paper_defaults.ini")).replace(
+            "kappa_hz = 50e6", "kappa_hz = 1e307"
+        ),
+    ),
+    "default_comb_kappa_1e308": (
+        "transfer",
+        without_comb(read_config("paper_defaults.ini")).replace(
+            "kappa_hz = 50e6", "kappa_hz = 1e308"
+        ),
+    ),
+    "default_comb_g_c_1e308": (
+        "transfer",
+        without_comb(read_config("paper_defaults.ini")).replace(
+            "g_c_hz = 50e6", "g_c_hz = 1e308"
+        ),
+    ),
+    "scan_kappa_1e307_1e308": (
+        "scan",
+        read_config("scan_kappa.ini")
+        .replace("start = 20e6", "start = 1e307")
+        .replace("stop = 200e6", "stop = 1e308"),
+    ),
+    "explicit_comb_g_c_1e308": (
+        "transfer",
+        read_config("paper_defaults.ini").replace("g_c_hz = 50e6", "g_c_hz = 1e308"),
+    ),
+    "explicit_comb_spacing_1e307": (
+        "transfer",
+        read_config("paper_defaults.ini").replace(
+            "mode_spacing_hz = 1e6", "mode_spacing_hz = 1e307"
+        ),
+    ),
+    "explicit_comb_spacing_1e308": (
+        "transfer",
+        read_config("paper_defaults.ini").replace(
+            "mode_spacing_hz = 1e6", "mode_spacing_hz = 1e308"
+        ),
     ),
 }
 
@@ -451,12 +511,52 @@ class TestCli:
         )
         assert json.loads(done.stdout) == [EXIT_PHYSICS, EXIT_PHYSICS], done.stderr
 
-    def test_physics_error_exits_3(self, tmp_path):
-        # a step too coarse for the photon comb is a physics-level refusal
-        text = read_config("paper_defaults.ini") + "dt_s = 1e-9\n"
+    def test_physics_error_exits_3(self, tmp_path, capsys):
+        # a step plan beyond MAX_STEPS is a physics-level refusal, made
+        # before any step is taken (g_c = 1e15 Hz plans ~3e10 steps)
+        text = read_config("paper_defaults.ini").replace("g_c_hz = 50e6", "g_c_hz = 1e15")
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(text)
         assert main(["transfer", "--config", str(cfg)]) == EXIT_PHYSICS
+        assert "physics error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["dt_s = 1e-9", "dt_s = 1e-12", "sample_every = 3"])
+    def test_removed_simulation_keys_exit_2(self, tmp_path, capsys, line):
+        # the step and the recording stride are set by the run, not the config
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(read_config("paper_defaults.ini") + line + "\n")
+        assert main(["transfer", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_overflowing_rates_exit_2(self, tmp_path, capsys, case):
+        # finite in the config, but overflowing once scaled by 2 pi or
+        # summed over the comb; these ended in an OverflowError or "dt must
+        # be positive"
+        command, text = OVERFLOWING[case]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("comb", ["explicit", "default"])
+    @pytest.mark.parametrize("value", ["0", "1e-300", "1e300", "1e308"])
+    @pytest.mark.parametrize("key", sorted(RATE_KEYS))
+    def test_rate_grid_exit_codes(self, tmp_path, key, value, comb):
+        text = read_config("paper_defaults.ini").replace(
+            "duration_s = 150e-9", "duration_s = 20e-9"
+        )
+        if comb == "default":
+            text = without_comb(text)
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(text.replace(f"{key} = {RATE_KEYS[key]}", f"{key} = {value}"))
+        code = main(["transfer", "--config", str(cfg), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS)
+        if code == EXIT_OK:
+            lines = [line for line in out.read_text().splitlines() if line[0] != "#"]
+            rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+            assert len(rows) > 1
+            assert np.all(np.isfinite(rows))
 
     def test_parser_built_once_per_process(self, tmp_path):
         parser = _build_parser()
