@@ -36,8 +36,12 @@ The scheme is linear and the same at every step, so the core composes
 16 steps into one precomputed block map: a block reads the comb once
 (its sums against rot_h^p, p = 0..32), gets every step's bright
 amplitudes and comb injections from that map, and writes the comb once.
-The fidelity of each step follows from the squared comb norm at the block
-start, so recording costs no pass over the comb.
+A recorded run also takes the squared comb norm at each block start (one
+``vdot`` per block), from which, with the block's step rows, the fidelity
+of each of its steps follows.  The blocks write their step rows into a
+buffer of 64 blocks, which is read into samples by one vectorised pass
+when it is full or the run ends: the loop only steps, and the buffer
+stays the same size however long the run.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ MAX_MODE_COUNT = 10 ** 6
 #: 2 _BLOCK + 1 rows of the comb length (about 1 MB at 2000 modes), and a
 #: longer block buys little once the two comb products dominate
 _BLOCK = 16
+
+#: blocks whose step rows are buffered before they are read into samples;
+#: the buffer holds _CHUNK x 9 _BLOCK complex numbers (147 kB), and the
+#: bound keeps a long run's memory flat
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -360,9 +369,11 @@ def _advance(
     F = P c, where row p of the power table P is rot_h^p (p = 0..2B); one
     precomputed map (:func:`_block_map`) takes (x1, x2, x3, F) to the bright
     amplitudes, stage scalars and comb sums of all its L steps, and the comb
-    is written once as c <- P[2L] c + h P.  Since |rot_h| = 1, a step raises
-    |c|^2 by 2 Re(q . conj(s)) + q^H T q with T[a, b] = G(a - b), so the
-    fidelity of every step follows from |c|^2 at the block start.
+    is written once as c <- P[2L] c + h P.  The block writes those step rows
+    into a buffer of ``_CHUNK`` blocks and, when recording, |c|^2 at its
+    start (one ``vdot``); nothing else is read while stepping.  When the
+    buffer is full, or the run ends, :func:`_read_chunk` turns the steps
+    to record into samples.
 
     Returns the final amplitude vector and, if ``record_every`` > 0, the
     samples ``(t, |c1|^2, |c2|^2, |c3|^2, survival, fidelity)``, one row
@@ -390,6 +401,8 @@ def _advance(
     z = np.empty(3 + n_pow, dtype=complex)
     z[:3] = y[:3]
     c = y[3:].copy()
+    chunk = np.empty((_CHUNK, 9 * _BLOCK), dtype=complex)
+    norms = np.empty(_CHUNK)
     samples = []
     if record_every:
         p = np.abs(z[:3]) ** 2
@@ -397,27 +410,50 @@ def _advance(
         samples.append([[0.0, *p, p.sum() + fidelity, fidelity]])
     for start in range(0, n_steps, _BLOCK):
         size = min(_BLOCK, n_steps - start)
-        np.matmul(powers, c, out=z[3:])
-        out = (steps @ z).reshape(_BLOCK, 9)
+        b = start // _BLOCK % _CHUNK
         if record_every:
-            first = record_every - 1 - start % record_every
-            picked = list(range(first, size, record_every))
-            if start + size == n_steps and n_steps % record_every:
-                picked.append(size - 1)
-            if picked:
-                u = out[:size, 3:]
-                gain = np.einsum("ij,ij->i", u.conj(), u @ form).real
-                fidelity = (np.vdot(c, c).real + np.cumsum(gain))[picked]
-                p = np.abs(out[picked, :3]) ** 2
-                t = (np.array(picked) + (start + 1)) * dt
-                samples.append(
-                    np.column_stack((t, p, p.sum(axis=1) + fidelity, fidelity))
-                )
+            norms[b] = np.vdot(c, c).real
+        np.matmul(powers, c, out=z[3:])
+        np.matmul(steps, z, out=chunk[b])
         np.multiply(c, powers[2 * size], out=c)
         c += (combs[size - 1] @ z) @ powers
-        z[:3] = out[size - 1, :3]
+        z[:3] = chunk[b, 9 * size - 9 : 9 * size - 6]
+        if record_every and (b == _CHUNK - 1 or start + size == n_steps):
+            # steps first + 1 .. start + size ran in this chunk
+            first = start - b * _BLOCK
+            picked = np.arange(
+                record_every - 1 - first % record_every, start + size - first, record_every
+            )
+            if start + size == n_steps and n_steps % record_every:
+                picked = np.append(picked, n_steps - 1 - first)
+            if picked.size:
+                times = (picked + (first + 1)) * dt
+                samples.append(_read_chunk(chunk, norms, form, picked, times))
     y = np.concatenate((z[:3], c))
     return y, np.concatenate(samples) if samples else np.empty((0, 6))
+
+
+def _read_chunk(chunk, norms, form, picked, times):
+    """Sample rows ``(t, |c1|^2, |c2|^2, |c3|^2, survival, fidelity)`` of one chunk.
+
+    ``chunk`` holds the step rows of consecutive blocks, nine per step: the
+    bright amplitudes, the stage scalars q and the comb sums s; ``norms``
+    holds |c|^2 at the start of each block.  ``picked`` indexes the steps
+    to record from the chunk's first, in rising order, and ``times`` are
+    their times.  Since |rot_h| = 1, a step raises |c|^2 by
+    2 Re(q . conj(s)) + q^H T q with T[a, b] = G(a - b), that is by
+    Re(u^H K u) for u = (q, s) (``form`` is K transposed), so a step's
+    fidelity is its block's start norm plus the gains of the block's steps
+    up to it.
+    """
+    n_blocks = picked[-1] // _BLOCK + 1
+    rows = chunk[:n_blocks].reshape(_BLOCK * n_blocks, 9)
+    u = rows[:, 3:]
+    gain = np.einsum("ij,ij->i", u.conj(), u @ form).real
+    fidelity = np.cumsum(gain.reshape(n_blocks, _BLOCK), axis=1) + norms[:n_blocks, None]
+    fidelity = fidelity.reshape(-1)[picked]
+    p = np.abs(rows[picked, :3]) ** 2
+    return np.column_stack((times, p, p.sum(axis=1) + fidelity, fidelity))
 
 
 @dataclass(frozen=True)
@@ -514,6 +550,11 @@ def default_discretization(g_max: float, kappa: float):
     return spacing, max(count, n_min)
 
 
+def _thermal_rate(rate: float, n_bar: float) -> float:
+    """``rate (n_bar + 1)``; a zero rate stays zero, also at an infinite ``n_bar``."""
+    return rate * (1.0 + n_bar) if rate else rate
+
+
 def make_transfer_system(
     g_c: float,
     kappa: float,
@@ -527,8 +568,9 @@ def make_transfer_system(
 ) -> TransferSystem:
     """Matched-coupling system with thermal factors applied to every rate.
 
-    Each decay rate is multiplied by (n_bar + 1) at the given temperature
-    before the generator is built; the mechanical and circuit occupations
+    Each nonzero decay rate is multiplied by (n_bar + 1) at the given
+    temperature before the generator is built (a zero rate stays zero, also
+    where n_bar overflows to inf); the mechanical and circuit occupations
     are evaluated at ``mode_frequency``, the optical one at
     ``optical_frequency`` (negligible for any optical transition, so None
     means exactly zero).
@@ -546,9 +588,9 @@ def make_transfer_system(
     return TransferSystem(
         g_om=g_c,
         g_em=g_c,
-        kappa=kappa * (1.0 + n_zpl),
-        gamma_m=gamma_m * (1.0 + n_mode),
-        gamma_lc=gamma_lc * (1.0 + n_mode),
+        kappa=_thermal_rate(kappa, n_zpl),
+        gamma_m=_thermal_rate(gamma_m, n_mode),
+        gamma_lc=_thermal_rate(gamma_lc, n_mode),
         mode_spacing=mode_spacing,
         mode_count=mode_count,
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from transducer_sim import TransferSystem, make_transfer_system
-from transducer_sim.dynamics import _advance, default_timestep
+from transducer_sim.dynamics import _BLOCK, _CHUNK, _advance, default_timestep
 
 from conftest import TWO_PI
 
@@ -119,3 +119,23 @@ def test_blocked_core_matches_per_step_loop(name, n_steps):
     # without recording, the final amplitudes alone
     got_y, _ = _advance(system, y, dt, n_steps)
     assert np.max(np.abs(got_y - expected_y)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_steps", [_BLOCK * _CHUNK - 1, _BLOCK * _CHUNK + 1, 2 * _BLOCK * _CHUNK + 5]
+)
+def test_chunk_edges_match_per_step_loop(n_steps):
+    # runs that end just short of, just past and well past the step rows
+    # buffered in one chunk, so samples are read on both sides of a chunk
+    # edge; the reference runs once, recording every step, and each stride
+    # takes its rows
+    system = SYSTEMS["unmatched_lossy_odd"]
+    dt = default_timestep(system)
+    y = start_state(system)
+    expected_y, every_step = per_step_advance(system, y, dt, n_steps, 1)
+    for record_every in (1, 7, _BLOCK * _CHUNK + 3, n_steps + 1):
+        picked = sorted(set(range(0, n_steps + 1, record_every)) | {n_steps})
+        got_y, got = _advance(system, y, dt, n_steps, record_every)
+        assert np.max(np.abs(got_y - expected_y)) < 1e-12
+        assert got.shape == (len(picked), 6)
+        assert np.max(np.abs(got - every_step[picked])) < 1e-12, record_every

@@ -162,8 +162,10 @@ class TestEffectiveDecay:
 
     def test_ground_state_unchanged(self):
         assert self.losses(TWO_PI * 100e3, 0.0) == (TWO_PI * 100e3,) * 2
-        # a zero loss stays zero at any temperature
+        # a zero loss stays zero at any temperature, also where hbar w
+        # underflows and n_bar is inf
         assert self.losses(0.0, 1.0) == (0.0, 0.0)
+        assert self.losses(0.0, 0.05, mode_frequency=1e-300) == (0.0, 0.0)
 
     def test_benchmark(self):
         # 5 GHz at 50 mK: n_bar = 0.0083

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,6 +473,31 @@ class TestIntegrate:
         b = integrate(benchmark_system(), 40e-9)
         assert np.array_equal(a.final_amplitudes, b.final_amplitudes)
         assert np.array_equal(a.fidelity, b.fidelity)
+
+    def test_recording_memory_is_flat_in_duration(self):
+        # the 5 MHz paper trajectory on its 2000-mode comb, recorded as the
+        # transfer run records it; the step rows are read into samples in
+        # chunks of bounded size, so a 4x longer run peaks no higher
+        system = make_transfer_system(
+            g_c=TWO_PI * 5e6,
+            kappa=KAPPA50,
+            gamma_m=TWO_PI * 100e3,
+            gamma_lc=TWO_PI * 100e3,
+            temperature=0.05,
+        )
+        assert system.mode_count == 2000
+        peaks = {}  # traced peak (MiB) per step count
+        for duration in (0.5e-6, 2e-6):
+            n_steps, _ = step_plan(system, duration)
+            tracemalloc.start()
+            try:
+                integrate(system, duration, record_every=max(1, n_steps // 500))
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+        assert sorted(peaks) == [5236, 20944]
+        assert abs(peaks[20944] - peaks[5236]) < 0.25, peaks
+        assert peaks[20944] < 3.0, peaks
 
     def test_saturation_time_helper(self, record):
         # saturation: the first sample within 0.005 of the maximum

@@ -1,0 +1,69 @@
+"""Every bundled config against the CSV recorded for it in ``tests/golden/``.
+
+Each config reruns in process through the CLI.  The ``#`` header lines,
+the column line and every status cell must match exactly, and every
+numeric cell within 1e-12 relative, so a change that is meant to leave
+the outputs alone is checked here instead of by hand with ``cmp``.  A
+change that moves an output on purpose rewrites the golden file and says
+why.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from transducer_sim.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: bundled config -> the subcommand it is written for
+COMMANDS = {
+    "couplings_voltage_sweep": "couplings",
+    "mechanics_thickness_sweep": "mechanics",
+    "mechanics_voltage_sweep": "mechanics",
+    "paper_defaults": "transfer",
+    "scan_kappa": "scan",
+    "scan_temperature": "scan",
+}
+
+REL_TOL = 1e-12
+
+
+def test_every_bundled_config_has_a_golden_file():
+    configs = {path.stem for path in (ROOT / "configs").glob("*.ini")}
+    goldens = {path.stem for path in GOLDEN.glob("*.csv")}
+    assert configs == goldens == set(COMMANDS)
+
+
+def cells_agree(expected: str, got: str) -> bool:
+    try:
+        a, b = float(expected), float(got)
+    except ValueError:
+        return expected == got  # a status cell
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b or abs(a - b) <= REL_TOL * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_bundled_config_matches_golden(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    config = ROOT / "configs" / f"{name}.ini"
+    assert main([COMMANDS[name], "--config", str(config), "--out", str(out)]) == EXIT_OK
+    expected = (GOLDEN / f"{name}.csv").read_text().splitlines()
+    got = out.read_text().splitlines()
+
+    def header(lines):
+        return [line for line in lines if line.startswith("#")]
+
+    assert header(got) == header(expected)
+    expected_rows = [line.split(",") for line in expected if not line.startswith("#")]
+    got_rows = [line.split(",") for line in got if not line.startswith("#")]
+    assert got_rows[0] == expected_rows[0]  # the column names
+    assert len(got_rows) == len(expected_rows)
+    for i, (want, have) in enumerate(zip(expected_rows[1:], got_rows[1:]), start=1):
+        assert len(have) == len(want), f"row {i}"
+        bad = [j for j, (a, b) in enumerate(zip(want, have)) if not cells_agree(a, b)]
+        assert not bad, f"row {i}, columns {bad}: {want} != {have}"

@@ -539,6 +539,32 @@ class TestCli:
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "losses, expected",
+        [(("0", "0"), EXIT_OK), (("100e3", "0"), EXIT_CONFIG), (("0", "100e3"), EXIT_CONFIG)],
+    )
+    def test_zero_losses_at_infinite_occupation(self, tmp_path, capsys, losses, expected):
+        # hbar w underflows at mode_frequency_hz = 1e-300, so n_bar is inf:
+        # a zero loss stays 0 (it was 0 * inf = nan, exit 2), a nonzero one
+        # becomes inf and is refused
+        text = (
+            read_config("paper_defaults.ini")
+            .replace("duration_s = 150e-9", "duration_s = 20e-9")
+            .replace("mode_frequency_hz = 5e9", "mode_frequency_hz = 1e-300")
+            .replace("gamma_m_hz = 100e3", f"gamma_m_hz = {losses[0]}")
+            .replace("gamma_lc_hz = 100e3", f"gamma_lc_hz = {losses[1]}")
+        )
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(text)
+        assert main(["transfer", "--config", str(cfg), "--out", str(out)]) == expected
+        if expected == EXIT_OK:
+            lines = [line for line in out.read_text().splitlines() if line[0] != "#"]
+            rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+            assert len(rows) > 1
+            assert np.all(np.isfinite(rows))
+        else:
+            assert "must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("comb", ["explicit", "default"])
     @pytest.mark.parametrize("value", ["0", "1e-300", "1e300", "1e308"])
     @pytest.mark.parametrize("key", sorted(RATE_KEYS))
