@@ -10,7 +10,6 @@ free-space optical photon.
 
 from .circuit import (
     CircuitParams,
-    ElectromechanicalCoupling,
     charge_zero_point,
     electromechanical_coupling,
     matched_circuit,
@@ -27,12 +26,8 @@ from .coupling import (
     thermal_occupation,
 )
 from .dynamics import (
-    ClosedEvolution,
     TrajectoryRecord,
     TransferSystem,
-    closed_eigensystem,
-    closed_evolution,
-    closed_generator,
     default_discretization,
     default_timestep,
     integrate,

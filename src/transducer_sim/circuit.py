@@ -20,34 +20,20 @@ from .errors import TuningError
 from .mechanics import MembraneGeometry, OperatingPoint
 
 DEFAULT_INDUCTANCE = 1e-6        # H
-DEFAULT_QUALITY_FACTOR = 50_000.0
 
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Resonator elements and the derived microwave-mode quantities."""
+    """The tuned resonator at one operating point, as the coupling rate reads it.
 
-    inductance: float            # H
+    The resonator's loss is not a circuit element here: the transfer runs
+    take it as the rate ``[simulation] gamma_lc_hz``.
+    """
+
     tuning_capacitance: float    # F, fixed capacitor in parallel with the membrane
     gap: float                   # m, undeflected membrane-to-electrode distance
     bias_voltage: float          # V
-    quality_factor: float
-    lc_frequency: float          # rad/s, 1/sqrt(L (C_m + C0)) at the operating point
     q_zpf: float                 # C, charge zero-point fluctuation
-
-    @property
-    def damping_rate(self) -> float:
-        """Microwave energy decay rate (rad/s), lc_frequency / Q."""
-        return self.lc_frequency / self.quality_factor
-
-
-@dataclass(frozen=True)
-class ElectromechanicalCoupling:
-    """Phonon / microwave-photon coupling at a solved operating point."""
-
-    gradient: float       # V/m, qbar * d(1/C)/dx at the operating point
-    g_em: float           # rad/s
-    static_charge: float  # C, bias charge on the total capacitance
 
 
 def membrane_capacitance(geom: MembraneGeometry, gap: float, deflection: float) -> float:
@@ -102,32 +88,26 @@ def matched_circuit(
     gap: float,
     bias_voltage: float,
     inductance: float = DEFAULT_INDUCTANCE,
-    quality_factor: float = DEFAULT_QUALITY_FACTOR,
-    lc_frequency: float | None = None,
 ) -> CircuitParams:
     """Build the resonator with C0 tuned so the LC mode matches the membrane.
 
-    By default the resonance is placed at the mechanical frequency of the
-    operating point; pass ``lc_frequency`` to detune deliberately.
+    The resonance 1 / sqrt(L (C_m + C0)) is placed at the mechanical
+    frequency of the operating point.
     """
-    omega = op_point.mech_frequency if lc_frequency is None else lc_frequency
+    omega = op_point.mech_frequency
     c_m = membrane_capacitance(geom, gap, op_point.deflection)
-    c0 = tune_capacitor(inductance, omega, c_m)
     return CircuitParams(
-        inductance=inductance,
-        tuning_capacitance=c0,
+        tuning_capacitance=tune_capacitor(inductance, omega, c_m),
         gap=gap,
         bias_voltage=bias_voltage,
-        quality_factor=quality_factor,
-        lc_frequency=omega,
         q_zpf=charge_zero_point(inductance, omega),
     )
 
 
 def electromechanical_coupling(
     op_point: OperatingPoint, circuit: CircuitParams, geom: MembraneGeometry
-) -> ElectromechanicalCoupling:
-    """Single-photon electromechanical coupling at the operating point.
+) -> float:
+    """Single-photon electromechanical coupling g_em (rad/s) at the operating point.
 
     The bias charges the total capacitance to qbar = V C(x0).  The position
     dependence of the inverse capacitance then couples charge and position
@@ -146,7 +126,4 @@ def electromechanical_coupling(
         * capacitance_gradient(geom, circuit.gap, op_point.deflection)
         / c_total ** 2
     )
-    g_em = gradient * op_point.x_zpf * circuit.q_zpf / HBAR
-    return ElectromechanicalCoupling(
-        gradient=gradient, g_em=g_em, static_charge=static_charge
-    )
+    return gradient * op_point.x_zpf * circuit.q_zpf / HBAR

@@ -15,7 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .circuit import DEFAULT_INDUCTANCE, DEFAULT_QUALITY_FACTOR
+from .circuit import DEFAULT_INDUCTANCE
 from .constants import (
     TWO_PI,
     stark_shift_to_si,
@@ -23,6 +23,7 @@ from .constants import (
     wavelength_to_angular_frequency,
 )
 from .coupling import (
+    DEFAULT_OPTICAL_DECAY_HZ,
     DEFAULT_STARK_SHIFT_MEV_PER_V_PER_M,
     DEFAULT_STRAIN_SHIFT_MEV_PER_PERCENT,
     DEFAULT_ZPL_WAVELENGTH,
@@ -33,6 +34,7 @@ from .mechanics import (
     DEFAULT_CLAMPING_COEFFICIENT,
     DEFAULT_DENSITY,
     DEFAULT_MODE_MASS_FRACTION,
+    DEFAULT_PRE_TENSION,
     ElectrostaticEnvironment,
     MembraneGeometry,
 )
@@ -54,7 +56,6 @@ _SCHEMA = {
         "gap_m",
         "bias_voltage_v",
         "inductance_h",
-        "quality_factor",
     },
     "emitter": {
         "zpl_wavelength_m",
@@ -87,15 +88,15 @@ _REQUIRED = {
 class SimulationSettings:
     """Transfer-run parameters; rates are angular (rad/s)."""
 
-    g_c: float | None = None
-    kappa: float = TWO_PI * 50e6
-    gamma_m: float = TWO_PI * 100e3
-    gamma_lc: float = TWO_PI * 100e3
-    temperature: float = 0.05
-    mode_frequency: float = TWO_PI * 5e9
-    mode_spacing: float | None = None
-    mode_count: int | None = None
-    duration: float | None = None
+    g_c: float | None
+    kappa: float
+    gamma_m: float
+    gamma_lc: float
+    temperature: float
+    mode_frequency: float
+    mode_spacing: float | None
+    mode_count: int | None
+    duration: float | None
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,6 @@ class ExperimentConfig:
     geometry: MembraneGeometry
     environment: ElectrostaticEnvironment
     inductance: float
-    quality_factor: float
     emitter: EmitterParams
     simulation: SimulationSettings
     sweep: SweepSettings | None
@@ -194,7 +194,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 "geometry", "youngs_modulus_pa", get, required=True
             ),
             density=_get_float("geometry", "mass_density_kg_m3", get, DEFAULT_DENSITY),
-            pre_tension=_get_float("geometry", "pre_tension_n", get, 10e-9),
+            pre_tension=_get_float("geometry", "pre_tension_n", get, DEFAULT_PRE_TENSION),
             clamping_coefficient=_get_float(
                 "geometry", "clamping_coefficient", get, DEFAULT_CLAMPING_COEFFICIENT
             ),
@@ -214,9 +214,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc), "circuit") from None
 
     inductance = _get_float("circuit", "inductance_h", get, DEFAULT_INDUCTANCE)
-    quality_factor = _get_float("circuit", "quality_factor", get, DEFAULT_QUALITY_FACTOR)
-    if not inductance > 0 or not quality_factor > 0:
-        raise ConfigError("inductance and quality factor must be positive", "circuit")
+    if not inductance > 0:
+        raise ConfigError("inductance must be positive", "circuit")
 
     try:
         emitter = EmitterParams(
@@ -224,7 +223,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 _get_float("emitter", "zpl_wavelength_m", get, DEFAULT_ZPL_WAVELENGTH)
             ),
             optical_decay=TWO_PI
-            * _get_float("emitter", "optical_decay_hz", get, 53e6),
+            * _get_float("emitter", "optical_decay_hz", get, DEFAULT_OPTICAL_DECAY_HZ),
             strain_shift_coefficient=strain_shift_to_si(
                 _get_float(
                     "emitter",
@@ -313,7 +312,6 @@ def parse_config(text: str) -> ExperimentConfig:
         geometry=geometry,
         environment=environment,
         inductance=inductance,
-        quality_factor=quality_factor,
         emitter=emitter,
         simulation=simulation,
         sweep=sweep,

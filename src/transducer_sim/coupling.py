@@ -37,7 +37,7 @@ DEFAULT_STRAIN_SHIFT_MEV_PER_PERCENT = 5.0
 DEFAULT_STARK_SHIFT_MEV_PER_V_PER_M = 21.0 / 4e8
 
 DEFAULT_ZPL_WAVELENGTH = 600e-9
-DEFAULT_OPTICAL_DECAY = 2.0 * math.pi * 53e6   # rad/s, 3 ns excited-state lifetime
+DEFAULT_OPTICAL_DECAY_HZ = 53e6   # 3 ns excited-state lifetime
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class EmitterParams:
     """Optical transition and response coefficients of the emitter."""
 
     zpl_frequency: float = wavelength_to_angular_frequency(DEFAULT_ZPL_WAVELENGTH)
-    optical_decay: float = DEFAULT_OPTICAL_DECAY        # rad/s
+    optical_decay: float = 2.0 * math.pi * DEFAULT_OPTICAL_DECAY_HZ   # rad/s
     strain_shift_coefficient: float = strain_shift_to_si(
         DEFAULT_STRAIN_SHIFT_MEV_PER_PERCENT
     )                                                   # rad/s per unit strain

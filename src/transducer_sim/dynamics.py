@@ -84,70 +84,6 @@ _CHUNK = 64
 
 
 @dataclass(frozen=True)
-class ClosedEvolution:
-    """Eigensystem of the lossless three-state exchange Hamiltonian.
-
-    ``eigenstates`` rows are the amplitude triples of the eigenvectors in
-    the ordered basis (|g,01>, |g,10>, |e,00>); ``eigenvalues`` are the
-    matching angular frequencies (-sqrt(2) g, +sqrt(2) g, 0).
-    """
-
-    eigenvalues: np.ndarray
-    eigenstates: np.ndarray
-
-
-def closed_generator(g_c: float) -> np.ndarray:
-    """3x3 exchange Hamiltonian (rad/s) in the basis (|g,01>, |g,10>, |e,00>)."""
-    return g_c * np.array(
-        [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex
-    )
-
-
-def closed_eigensystem(g_c: float) -> ClosedEvolution:
-    """Analytic eigensystem of the lossless three-state exchange."""
-    if not g_c > 0:
-        raise ValueError("g_c must be positive")
-    r = math.sqrt(2.0)
-    states = np.array(
-        [
-            [0.5, -r / 2.0, 0.5],
-            [0.5, r / 2.0, 0.5],
-            [r / 2.0, 0.0, -r / 2.0],
-        ],
-        dtype=complex,
-    )
-    values = np.array([-r * g_c, r * g_c, 0.0])
-    return ClosedEvolution(eigenvalues=values, eigenstates=states)
-
-
-def closed_evolution(g_c: float, t: float) -> np.ndarray:
-    """Lossless evolution of |g,01> under the three-state exchange.
-
-    Returns the amplitude triple on (|g,01>, |g,10>, |e,00>):
-
-        ( (1 + cos(sqrt(2) g t)) / 2,
-          -i sin(sqrt(2) g t) * sqrt(2)/2,
-          -(1 - cos(sqrt(2) g t)) / 2 )
-
-    The norm is identically 1; the transfer to |e,00> completes at
-    t = pi / (sqrt(2) g).
-    """
-    if not g_c > 0:
-        raise ValueError("g_c must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    theta = math.sqrt(2.0) * g_c * t
-    return np.array(
-        [
-            0.5 * (1.0 + math.cos(theta)),
-            -1j * (math.sqrt(2.0) / 2.0) * math.sin(theta),
-            -0.5 * (1.0 - math.cos(theta)),
-        ],
-        dtype=complex,
-    )
-
-
-@dataclass(frozen=True)
 class TransferSystem:
     """Immutable generator of the open-system transfer dynamics.
 

@@ -29,6 +29,9 @@ from .errors import PullInError
 #: (kg/m^3, graphite-like)
 DEFAULT_DENSITY = 2260.0
 
+#: built-in tension of the sheet when none is given (N)
+DEFAULT_PRE_TENSION = 10e-9
+
 #: clamping coefficient of the fundamental flexural mode of a doubly
 #: clamped membrane
 DEFAULT_CLAMPING_COEFFICIENT = 1.03
@@ -61,7 +64,7 @@ class MembraneGeometry:
     thickness: float             # m
     youngs_modulus: float        # Pa
     density: float = DEFAULT_DENSITY      # kg/m^3
-    pre_tension: float = 10e-9            # N, built-in tension
+    pre_tension: float = DEFAULT_PRE_TENSION      # N, built-in tension
     clamping_coefficient: float = DEFAULT_CLAMPING_COEFFICIENT
     mode_mass_fraction: float = DEFAULT_MODE_MASS_FRACTION
 

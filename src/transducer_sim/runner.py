@@ -148,13 +148,12 @@ def run_coupling_sweep(config: ExperimentConfig) -> ResultTable:
                 gap=env.gap,
                 bias_voltage=env.bias_voltage,
                 inductance=config.inductance,
-                quality_factor=config.quality_factor,
             )
         except PullInError:
             return (value, math.nan, math.nan, math.nan, STATUS_PULL_IN)
         except TuningError:
             return (value, math.nan, math.nan, math.nan, STATUS_TUNING)
-        g_em = circuit_mod.electromechanical_coupling(op, circ, geom).g_em
+        g_em = circuit_mod.electromechanical_coupling(op, circ, geom)
         g_om1 = strain_coupling(op, geom, config.emitter)
         g_om2 = stark_coupling(op, env, config.emitter)
         return (value, g_em / TWO_PI, g_om1 / TWO_PI, g_om2 / TWO_PI, STATUS_OK)

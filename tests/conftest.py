@@ -20,6 +20,51 @@ def documented_stiffness(geom):
     return k1, k3
 
 
+def closed_generator(g_c):
+    """3x3 lossless exchange Hamiltonian (rad/s) in the basis (|g,01>, |g,10>, |e,00>)."""
+    return g_c * np.array(
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex
+    )
+
+
+def closed_eigensystem(g_c):
+    """``(eigenvalues, eigenstates)`` of :func:`closed_generator` in closed form.
+
+    ``eigenstates`` rows are the amplitude triples of the eigenvectors, and
+    the eigenvalues are the matching angular frequencies (-sqrt(2) g,
+    +sqrt(2) g, 0).
+    """
+    r = math.sqrt(2.0)
+    states = np.array(
+        [[0.5, -r / 2.0, 0.5], [0.5, r / 2.0, 0.5], [r / 2.0, 0.0, -r / 2.0]],
+        dtype=complex,
+    )
+    return np.array([-r * g_c, r * g_c, 0.0]), states
+
+
+def closed_evolution(g_c, t):
+    """Lossless evolution of |g,01> under the three-state exchange.
+
+    Returns the amplitude triple on (|g,01>, |g,10>, |e,00>):
+
+        ( (1 + cos(sqrt(2) g t)) / 2,
+          -i sin(sqrt(2) g t) * sqrt(2)/2,
+          -(1 - cos(sqrt(2) g t)) / 2 )
+
+    The norm is identically 1; the transfer to |e,00> completes at
+    t = pi / (sqrt(2) g).
+    """
+    theta = math.sqrt(2.0) * g_c * t
+    return np.array(
+        [
+            0.5 * (1.0 + math.cos(theta)),
+            -1j * (math.sqrt(2.0) / 2.0) * math.sin(theta),
+            -0.5 * (1.0 - math.cos(theta)),
+        ],
+        dtype=complex,
+    )
+
+
 def reference_root(a, b):
     """Stable root u of (u + a u^3)(1 - u)^2 = b by ``numpy.roots``, or None past pull-in.
 

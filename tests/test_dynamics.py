@@ -13,9 +13,6 @@ from transducer_sim import (
     ConfigError,
     StepSizeError,
     TransferSystem,
-    closed_eigensystem,
-    closed_evolution,
-    closed_generator,
     default_discretization,
     default_timestep,
     integrate,
@@ -30,7 +27,7 @@ from transducer_sim.dynamics import (
     step_plan,
 )
 
-from conftest import TWO_PI
+from conftest import TWO_PI, closed_eigensystem, closed_evolution, closed_generator
 
 G50 = TWO_PI * 50e6
 KAPPA50 = TWO_PI * 50e6
@@ -120,28 +117,22 @@ class TestClosedEvolution:
         c = closed_evolution(g_c, t)
         assert np.sum(np.abs(c) ** 2) == pytest.approx(1.0, abs=1e-9)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            closed_evolution(0.0, 1e-9)
-        with pytest.raises(ValueError):
-            closed_evolution(G50, -1e-9)
-
 
 class TestClosedEigensystem:
     def test_eigenpairs(self):
-        sys3 = closed_eigensystem(G50)
+        values, states = closed_eigensystem(G50)
         h = closed_generator(G50)
-        for value, state in zip(sys3.eigenvalues, sys3.eigenstates):
+        for value, state in zip(values, states):
             residual = np.linalg.norm(h @ state - value * state) / G50
             assert residual < 1e-12
 
     def test_orthonormal(self):
-        states = closed_eigensystem(G50).eigenstates
+        _, states = closed_eigensystem(G50)
         gram = states.conj() @ states.T
         assert np.allclose(gram, np.eye(3), atol=1e-14)
 
     def test_eigenvalues(self):
-        values = closed_eigensystem(G50).eigenvalues
+        values, _ = closed_eigensystem(G50)
         root2 = math.sqrt(2.0) * G50
         assert values == pytest.approx([-root2, root2, 0.0], rel=1e-15)
 

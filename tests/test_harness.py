@@ -48,7 +48,8 @@ def sweep(variable, start, stop, points=2):
     )
 
 
-#: (command, document) pairs whose values lie outside the physical range
+#: (command, document) pairs whose values lie outside the physical range or
+#: are incomplete
 OUT_OF_RANGE = {
     "temperature_start": (
         "scan",
@@ -65,6 +66,11 @@ OUT_OF_RANGE = {
         read_config("paper_defaults.ini").replace(
             "mode_frequency_hz = 5e9", "mode_frequency_hz = 0"
         ),
+    ),
+    # a comb spacing without its mode count
+    "mode_spacing_only": (
+        "transfer",
+        read_config("paper_defaults.ini").replace("mode_count = 500\n", ""),
     ),
     # dt_s left the schema, so this is now refused as an unknown key
     "negative_dt": ("transfer", read_config("paper_defaults.ini") + "dt_s = -1e-12\n"),
@@ -166,7 +172,6 @@ class TestParseConfig:
         assert cfg.environment.gap == 10e-9
         assert cfg.environment.bias_voltage == 3.3
         assert cfg.inductance == 1e-6
-        assert cfg.quality_factor == 50_000.0
         assert cfg.emitter.optical_decay == pytest.approx(TWO_PI * 53e6, rel=1e-12)
         sim = cfg.simulation
         assert sim.g_c == pytest.approx(TWO_PI * 50e6, rel=1e-12)
@@ -520,11 +525,19 @@ class TestCli:
         assert main(["transfer", "--config", str(cfg)]) == EXIT_PHYSICS
         assert "physics error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["dt_s = 1e-9", "dt_s = 1e-12", "sample_every = 3"])
+    @pytest.mark.parametrize(
+        "line",
+        ["dt_s = 1e-9", "dt_s = 1e-12", "sample_every = 3", "quality_factor = 50000"],
+    )
     def test_removed_simulation_keys_exit_2(self, tmp_path, capsys, line):
-        # the step and the recording stride are set by the run, not the config
+        # the step and the recording stride are set by the run, not the
+        # config, and the circuit loss is [simulation] gamma_lc_hz, not a Q
+        section = "[circuit]" if line.startswith("quality_factor") else "[simulation]"
+        text = read_config("paper_defaults.ini").replace(
+            f"\n{section}\n", f"\n{section}\n{line}\n"
+        )
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text(read_config("paper_defaults.ini") + line + "\n")
+        cfg.write_text(text)
         assert main(["transfer", "--config", str(cfg)]) == EXIT_CONFIG
         assert "unknown key" in capsys.readouterr().err
 
