@@ -5,6 +5,8 @@
     transducer-sim transfer  --config FILE [--out FILE]
     transducer-sim scan      --config FILE [--out FILE]
 
+The CSV goes to the ``--out`` file, or to stdout without one.
+
 Exit codes: 0 success, 2 configuration errors (including a config file
 that cannot be read or decoded, and an output path that cannot be
 written), 3 physics errors that are not survivable inside a sweep
@@ -59,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="config document path")
-        cmd.add_argument("--out", help="output CSV path (default: config [output] path or stdout)")
+        cmd.add_argument("--out", help="output CSV path (default: stdout)")
     return parser
 
 
@@ -81,10 +83,9 @@ def main(argv=None) -> int:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
 
-    out_path = args.out or config.output_path
-    if out_path:
+    if args.out:
         try:
-            table.write(out_path)
+            table.write(args.out)
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_CONFIG

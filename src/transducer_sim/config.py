@@ -41,6 +41,9 @@ from .mechanics import (
 
 SWEEP_VARIABLES = ("thickness", "bias_voltage", "displacement", "temperature", "kappa")
 
+#: most points one sweep may hold; its values are built as one list
+MAX_SWEEP_POINTS = 10 ** 6
+
 _SCHEMA = {
     "geometry": {
         "length_m",
@@ -70,12 +73,9 @@ _SCHEMA = {
         "gamma_lc_hz",
         "temperature_k",
         "mode_frequency_hz",
-        "mode_spacing_hz",
-        "mode_count",
         "duration_s",
     },
     "sweep": {"variable", "start", "stop", "points", "spacing"},
-    "output": {"path"},
 }
 
 _REQUIRED = {
@@ -94,8 +94,6 @@ class SimulationSettings:
     gamma_lc: float
     temperature: float
     mode_frequency: float
-    mode_spacing: float | None
-    mode_count: int | None
     duration: float | None
 
 
@@ -125,7 +123,6 @@ class ExperimentConfig:
     emitter: EmitterParams
     simulation: SimulationSettings
     sweep: SweepSettings | None
-    output_path: str | None
     config_hash: str = field(default="", compare=False)
 
 
@@ -145,10 +142,10 @@ def _get_float(section, key, getter, default=None, required=False):
     return value
 
 
-def _get_int(section, key, getter, default=None):
+def _get_int(section, key, getter):
     raw = getter(section, key, fallback=None)
     if raw is None:
-        return default
+        raise ConfigError("missing required field", section, key)
     try:
         return int(raw)
     except ValueError:
@@ -245,12 +242,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc), "emitter") from None
 
     g_c = _get_float("simulation", "g_c_hz", get)
-    mode_spacing = _get_float("simulation", "mode_spacing_hz", get)
-    mode_count = _get_int("simulation", "mode_count", get)
-    if (mode_spacing is None) != (mode_count is None):
-        raise ConfigError(
-            "mode_spacing_hz and mode_count must be given together", "simulation"
-        )
     duration = _get_float("simulation", "duration_s", get)
     if duration is not None and duration < 0:
         raise ConfigError("duration_s must be nonnegative", "simulation")
@@ -267,8 +258,6 @@ def parse_config(text: str) -> ExperimentConfig:
         gamma_lc=TWO_PI * _get_float("simulation", "gamma_lc_hz", get, 100e3),
         temperature=temperature,
         mode_frequency=TWO_PI * mode_frequency,
-        mode_spacing=None if mode_spacing is None else TWO_PI * mode_spacing,
-        mode_count=mode_count,
         duration=duration,
     )
 
@@ -286,10 +275,10 @@ def parse_config(text: str) -> ExperimentConfig:
         start = _get_float("sweep", "start", get, required=True)
         stop = _get_float("sweep", "stop", get, required=True)
         points = _get_int("sweep", "points", get)
-        if points is None:
-            raise ConfigError("missing required field", "sweep", "points")
         if points < 1:
             raise ConfigError("points must be >= 1", "sweep")
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigError(f"points must be <= {MAX_SWEEP_POINTS}", "sweep", "points")
         if start > stop:
             raise ConfigError("range must be ordered (start <= stop)", "sweep")
         # every sweep variable is a nonnegative quantity, and a thickness is positive
@@ -306,8 +295,6 @@ def parse_config(text: str) -> ExperimentConfig:
             variable=variable, start=start, stop=stop, points=points, spacing=spacing
         )
 
-    output_path = get("output", "path", fallback=None) if cp.has_section("output") else None
-
     return ExperimentConfig(
         geometry=geometry,
         environment=environment,
@@ -315,6 +302,5 @@ def parse_config(text: str) -> ExperimentConfig:
         emitter=emitter,
         simulation=simulation,
         sweep=sweep,
-        output_path=output_path,
         config_hash=hashlib.sha256(text.encode()).hexdigest(),
     )

@@ -36,9 +36,9 @@ The scheme is linear and the same at every step, so the core composes
 16 steps into one precomputed block map: a block reads the comb once
 (its sums against rot_h^p, p = 0..32), gets every step's bright
 amplitudes and comb injections from that map, and writes the comb once.
-A recorded run also takes the squared comb norm at each block start (one
-``vdot`` per block), from which, with the block's step rows, the fidelity
-of each of its steps follows.  The blocks write their step rows into a
+Every run records: a block also takes the squared comb norm at its start
+(one ``vdot``), from which, with the block's step rows, the fidelity of
+each of its steps follows.  The blocks write their step rows into a
 buffer of 64 blocks, which is read into samples by one vectorised pass
 when it is full or the run ends: the loop only steps, and the buffer
 stays the same size however long the run.
@@ -297,7 +297,7 @@ def _advance(
     y: np.ndarray,
     dt: float,
     n_steps: int,
-    record_every: int = 0,
+    record_every: int,
 ):
     """The stepping core: ``n_steps`` Lawson RK4 steps of ``dt`` from ``y``.
 
@@ -306,14 +306,14 @@ def _advance(
     precomputed map (:func:`_block_map`) takes (x1, x2, x3, F) to the bright
     amplitudes, stage scalars and comb sums of all its L steps, and the comb
     is written once as c <- P[2L] c + h P.  The block writes those step rows
-    into a buffer of ``_CHUNK`` blocks and, when recording, |c|^2 at its
-    start (one ``vdot``); nothing else is read while stepping.  When the
-    buffer is full, or the run ends, :func:`_read_chunk` turns the steps
-    to record into samples.
+    into a buffer of ``_CHUNK`` blocks and |c|^2 at its start (one
+    ``vdot``); nothing else is read while stepping.  When the buffer is
+    full, or the run ends, :func:`_read_chunk` turns the steps to record
+    into samples.
 
-    Returns the final amplitude vector and, if ``record_every`` > 0, the
-    samples ``(t, |c1|^2, |c2|^2, |c3|^2, survival, fidelity)``, one row
-    each, at step 0, every ``record_every`` steps and the last step.
+    Returns the final amplitude vector and the samples ``(t, |c1|^2,
+    |c2|^2, |c3|^2, survival, fidelity)``, one row each, at step 0, every
+    ``record_every`` (>= 1) steps and the last step.
     """
     n_pow = 2 * _BLOCK + 1
     rot_h = np.exp(-0.5j * dt * system.detunings)
@@ -339,22 +339,19 @@ def _advance(
     c = y[3:].copy()
     chunk = np.empty((_CHUNK, 9 * _BLOCK), dtype=complex)
     norms = np.empty(_CHUNK)
-    samples = []
-    if record_every:
-        p = np.abs(z[:3]) ** 2
-        fidelity = np.vdot(c, c).real
-        samples.append([[0.0, *p, p.sum() + fidelity, fidelity]])
+    p = np.abs(z[:3]) ** 2
+    fidelity = np.vdot(c, c).real
+    samples = [[[0.0, *p, p.sum() + fidelity, fidelity]]]
     for start in range(0, n_steps, _BLOCK):
         size = min(_BLOCK, n_steps - start)
         b = start // _BLOCK % _CHUNK
-        if record_every:
-            norms[b] = np.vdot(c, c).real
+        norms[b] = np.vdot(c, c).real
         np.matmul(powers, c, out=z[3:])
         np.matmul(steps, z, out=chunk[b])
         np.multiply(c, powers[2 * size], out=c)
         c += (combs[size - 1] @ z) @ powers
         z[:3] = chunk[b, 9 * size - 9 : 9 * size - 6]
-        if record_every and (b == _CHUNK - 1 or start + size == n_steps):
+        if b == _CHUNK - 1 or start + size == n_steps:
             # steps first + 1 .. start + size ran in this chunk
             first = start - b * _BLOCK
             picked = np.arange(
@@ -366,7 +363,7 @@ def _advance(
                 times = (picked + (first + 1)) * dt
                 samples.append(_read_chunk(chunk, norms, form, picked, times))
     y = np.concatenate((z[:3], c))
-    return y, np.concatenate(samples) if samples else np.empty((0, 6))
+    return y, np.concatenate(samples)
 
 
 def _read_chunk(chunk, norms, form, picked, times):
@@ -420,7 +417,7 @@ def _check_duration(system: TransferSystem, duration: float):
     if duration > _REVIVAL_SAFETY * system.revival_time:
         raise ConfigError(
             f"duration {duration:.3e} s runs into the discretization revival "
-            f"at {system.revival_time:.3e} s; decrease mode_spacing"
+            f"at {system.revival_time:.3e} s; shorten the duration"
         )
 
 
@@ -496,8 +493,6 @@ def make_transfer_system(
     kappa: float,
     gamma_m: float = 0.0,
     gamma_lc: float = 0.0,
-    mode_spacing: float | None = None,
-    mode_count: int | None = None,
     temperature: float = 0.0,
     mode_frequency: float = TWO_PI * 5e9,
     optical_frequency: float | None = None,
@@ -509,22 +504,22 @@ def make_transfer_system(
     where n_bar overflows to inf); the mechanical and circuit occupations
     are evaluated at ``mode_frequency``, the optical one at
     ``optical_frequency`` (negligible for any optical transition, so None
-    means exactly zero).
+    means exactly zero).  The photon comb is the
+    :func:`default_discretization` of ``g_c`` and the enhanced optical
+    decay, so it is wide enough for the decay actually integrated.
     """
-    if (mode_spacing is None) != (mode_count is None):
-        raise ConfigError("give both mode_spacing and mode_count, or neither")
-    if mode_spacing is None:
-        mode_spacing, mode_count = default_discretization(g_c, kappa)
     n_mode = thermal_occupation(mode_frequency, temperature)
     n_zpl = (
         0.0
         if optical_frequency is None
         else thermal_occupation(optical_frequency, temperature)
     )
+    kappa = _thermal_rate(kappa, n_zpl)
+    mode_spacing, mode_count = default_discretization(g_c, kappa)
     return TransferSystem(
         g_om=g_c,
         g_em=g_c,
-        kappa=_thermal_rate(kappa, n_zpl),
+        kappa=kappa,
         gamma_m=_thermal_rate(gamma_m, n_mode),
         gamma_lc=_thermal_rate(gamma_lc, n_mode),
         mode_spacing=mode_spacing,

@@ -178,8 +178,6 @@ def _build_system(config: ExperimentConfig, g_c: float, kappa: float, temperatur
         kappa=kappa,
         gamma_m=sim.gamma_m,
         gamma_lc=sim.gamma_lc,
-        mode_spacing=sim.mode_spacing,
-        mode_count=sim.mode_count,
         temperature=temperature,
         mode_frequency=sim.mode_frequency,
         optical_frequency=config.emitter.zpl_frequency,

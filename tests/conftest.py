@@ -1,11 +1,35 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from transducer_sim import ElectrostaticEnvironment, MembraneGeometry
+from transducer_sim import ElectrostaticEnvironment, MembraneGeometry, dynamics
 
 TWO_PI = 2.0 * math.pi
+
+
+def on_comb(system, spacing_hz, count):
+    """``system`` on a photon comb of ``count`` modes ``spacing_hz`` apart.
+
+    ``dataclasses.replace`` builds a new system, so every check of
+    ``TransferSystem`` runs on the new comb.
+    """
+    return dataclasses.replace(
+        system, mode_spacing=TWO_PI * spacing_hz, mode_count=count
+    )
+
+
+def pin_comb(monkeypatch, spacing_hz=1e6, count=500):
+    """Make every system built in this test use one comb, whatever its rates.
+
+    Runs then reach the rate, comb and step-plan checks of a fixed comb
+    (by default the 500-mode, 1 MHz comb of the 50 MHz benchmark) instead
+    of the refusals of the comb derived from the rates.
+    """
+    monkeypatch.setattr(
+        dynamics, "default_discretization", lambda g_max, kappa: (TWO_PI * spacing_hz, count)
+    )
 
 
 def documented_stiffness(geom):

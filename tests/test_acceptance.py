@@ -46,6 +46,7 @@ from conftest import (
     closed_evolution,
     closed_generator,
     documented_stiffness,
+    on_comb,
 )
 
 KAPPA = TWO_PI * 50e6
@@ -344,12 +345,7 @@ def test_criterion_8_property_suite(transfer_records):
     checks = []
 
     # norm conservation with lossless mechanics/circuit over 1 us
-    lossless = make_transfer_system(
-        g_c=TWO_PI * 50e6,
-        kappa=KAPPA,
-        mode_spacing=TWO_PI * 0.5e6,
-        mode_count=1000,
-    )
+    lossless = on_comb(make_transfer_system(g_c=TWO_PI * 50e6, kappa=KAPPA), 0.5e6, 1000)
     record0 = integrate(lossless, 1e-6, record_every=10)
     drift = float(np.max(np.abs(record0.survival - 1.0)))
     checks.append(("norm drift < 1e-8 over 1 us, zero losses", drift < 1e-8, f"{drift:.2e}"))
@@ -383,14 +379,16 @@ def test_criterion_8_property_suite(transfer_records):
     )
 
     # halving the spacing while doubling the count leaves the result unchanged
-    halved = make_transfer_system(
-        g_c=TWO_PI * 50e6,
-        kappa=KAPPA,
-        gamma_m=GAMMA,
-        gamma_lc=GAMMA,
-        temperature=TEMPERATURE,
-        mode_spacing=TWO_PI * 0.5e6,
-        mode_count=1000,
+    halved = on_comb(
+        make_transfer_system(
+            g_c=TWO_PI * 50e6,
+            kappa=KAPPA,
+            gamma_m=GAMMA,
+            gamma_lc=GAMMA,
+            temperature=TEMPERATURE,
+        ),
+        0.5e6,
+        1000,
     )
     f_halved = integrate(halved, 200e-9).max_fidelity
     disc_shift = abs(f_halved - record.max_fidelity)

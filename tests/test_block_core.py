@@ -18,7 +18,7 @@ from transducer_sim.dynamics import _BLOCK, _CHUNK, _advance, default_timestep
 from conftest import TWO_PI
 
 
-def per_step_advance(system, y, dt, n_steps, record_every=0):
+def per_step_advance(system, y, dt, n_steps, record_every):
     """Reference stepping loop: ``n_steps`` Lawson RK4 steps, one at a time."""
     g1, g2, kp = system.g_om, system.g_em, system.kappa_prime
     half, sixth = 0.5 * dt, dt / 6.0
@@ -44,7 +44,7 @@ def per_step_advance(system, y, dt, n_steps, record_every=0):
         fidelity = float(np.vdot(c, c).real)
         return (t, p1, p2, p3, p1 + p2 + p3 + fidelity, fidelity)
 
-    samples = [sample(0.0)] if record_every else []
+    samples = [sample(0.0)]
     for i in range(1, n_steps + 1):
         s0, s1, s2 = (probes @ c).tolist()
         a1, a2, a3 = rates(x1, x2, x3, s0)
@@ -63,7 +63,7 @@ def per_step_advance(system, y, dt, n_steps, record_every=0):
         x1 += sixth * (a1 + 2.0 * (b1 + e1) + f1)
         x2 = d2 * (d2 * (x2 + sixth * a2) + 2.0 * sixth * (b2 + e2)) + sixth * f2
         x3 = d3 * (d3 * (x3 + sixth * a3) + 2.0 * sixth * (b3 + e3)) + sixth * f3
-        if record_every and (i % record_every == 0 or i == n_steps):
+        if i % record_every == 0 or i == n_steps:
             samples.append(sample(i * dt))
     return np.concatenate(([x1, x2, x3], c)), np.array(samples)
 
@@ -116,9 +116,6 @@ def test_blocked_core_matches_per_step_loop(name, n_steps):
         assert np.max(np.abs(got_y - expected_y)) < 1e-12
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) < 1e-12, record_every
-    # without recording, the final amplitudes alone
-    got_y, _ = _advance(system, y, dt, n_steps)
-    assert np.max(np.abs(got_y - expected_y)) < 1e-12
 
 
 @pytest.mark.parametrize(

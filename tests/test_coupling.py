@@ -153,8 +153,6 @@ class TestEffectiveDecay:
             kappa=TWO_PI * 50e6,
             gamma_m=rate,
             gamma_lc=rate,
-            mode_spacing=TWO_PI * 1e6,
-            mode_count=500,
             temperature=temperature,
             mode_frequency=mode_frequency,
         )

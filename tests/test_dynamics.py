@@ -19,6 +19,7 @@ from transducer_sim import (
     make_transfer_system,
     thermal_occupation,
 )
+from transducer_sim.constants import wavelength_to_angular_frequency
 from transducer_sim.dynamics import (
     MAX_MODE_COUNT,
     MAX_STEPS,
@@ -27,7 +28,14 @@ from transducer_sim.dynamics import (
     step_plan,
 )
 
-from conftest import TWO_PI, closed_eigensystem, closed_evolution, closed_generator
+from conftest import (
+    TWO_PI,
+    closed_eigensystem,
+    closed_evolution,
+    closed_generator,
+    on_comb,
+    pin_comb,
+)
 
 G50 = TWO_PI * 50e6
 KAPPA50 = TWO_PI * 50e6
@@ -35,14 +43,15 @@ GAMMA = TWO_PI * 100e3
 
 
 def benchmark_system(**overrides):
-    """Matched 50 MHz couplings, 50 MHz decay, 100 kHz losses at 50 mK."""
+    """Matched 50 MHz couplings, 50 MHz decay, 100 kHz losses at 50 mK.
+
+    Its comb is the default one for these rates: 500 modes at 1 MHz.
+    """
     kwargs = dict(
         g_c=G50,
         kappa=KAPPA50,
         gamma_m=GAMMA,
         gamma_lc=GAMMA,
-        mode_spacing=TWO_PI * 1e6,
-        mode_count=500,
         temperature=0.05,
     )
     kwargs.update(overrides)
@@ -139,19 +148,14 @@ class TestClosedEigensystem:
 
 class TestSystemConstruction:
     def test_published_discretizations_are_valid(self):
-        make_transfer_system(
-            g_c=TWO_PI * 5e6, kappa=KAPPA50,
-            mode_spacing=TWO_PI * 0.25e6, mode_count=2000,
-        )
-        make_transfer_system(
-            g_c=G50, kappa=KAPPA50, mode_spacing=TWO_PI * 1e6, mode_count=500
-        )
+        slow = make_transfer_system(g_c=TWO_PI * 5e6, kappa=KAPPA50)
+        assert (slow.mode_spacing, slow.mode_count) == (TWO_PI * 0.25e6, 2000)
+        matched = make_transfer_system(g_c=G50, kappa=KAPPA50)
+        assert (matched.mode_spacing, matched.mode_count) == (TWO_PI * 1e6, 500)
 
     def test_narrow_bandwidth_rejected(self):
         with pytest.raises(ConfigError):
-            make_transfer_system(
-                g_c=G50, kappa=KAPPA50, mode_spacing=TWO_PI * 1e6, mode_count=100
-            )
+            on_comb(benchmark_system(), 1e6, 100)
 
     def test_default_discretization_tiers(self):
         assert default_discretization(TWO_PI * 5e6, KAPPA50) == (TWO_PI * 0.25e6, 2000)
@@ -165,9 +169,24 @@ class TestSystemConstruction:
         kappa = TWO_PI * 80e6
         spacing, count = default_discretization(kappa, kappa)
         assert count * spacing / 2 >= 5 * kappa * (1 - 1e-12)
-        make_transfer_system(  # constructor accepts it
-            g_c=kappa, kappa=kappa, mode_spacing=spacing, mode_count=count
+        system = make_transfer_system(g_c=kappa, kappa=kappa)  # constructor accepts it
+        assert (system.mode_spacing, system.mode_count) == (spacing, count)
+
+    def test_comb_covers_the_thermally_enhanced_decay(self):
+        # at 1e4 K the 600 nm line has n_bar = 0.099: the comb is derived
+        # from kappa (n_bar + 1), which the 500-mode comb of kappa alone is
+        # too narrow for
+        optical = wavelength_to_angular_frequency(600e-9)
+        hot = make_transfer_system(
+            g_c=G50, kappa=KAPPA50, temperature=1e4, optical_frequency=optical
         )
+        enhancement = 1.0 + thermal_occupation(optical, 1e4)
+        assert enhancement == pytest.approx(1.099, abs=1e-3)
+        assert hot.kappa == pytest.approx(KAPPA50 * enhancement, rel=1e-12)
+        assert (hot.mode_spacing, hot.mode_count) == default_discretization(G50, hot.kappa)
+        assert hot.mode_count > 500
+        with pytest.raises(ConfigError, match="bandwidth"):
+            on_comb(hot, 1e6, 500)
 
     def test_kappa_prime(self):
         system = benchmark_system()
@@ -210,17 +229,18 @@ class TestSystemConstruction:
                  temperature=0.05),
         ],
     )
-    def test_non_finite_rates_rejected(self, rates):
+    def test_non_finite_rates_rejected(self, monkeypatch, rates):
+        # on a pinned comb the rates reach the system's own checks, not the
+        # comb size that a non-finite rate asks of the default comb
+        pin_comb(monkeypatch)
         with pytest.raises(ConfigError, match="finite"):
-            make_transfer_system(mode_spacing=TWO_PI * 1e6, mode_count=500, **rates)
+            make_transfer_system(**rates)
 
     def test_non_finite_bandwidth_rejected(self):
         # 500 modes at 1e307 Hz are finite one by one but overflow as a comb
-        for spacing in (TWO_PI * 1e307, math.inf):
+        for spacing_hz in (1e307, math.inf):
             with pytest.raises(ConfigError, match="bandwidth"):
-                make_transfer_system(
-                    g_c=G50, kappa=KAPPA50, mode_spacing=spacing, mode_count=500
-                )
+                on_comb(benchmark_system(), spacing_hz, 500)
 
     @pytest.mark.parametrize(
         "g_max, kappa",
@@ -237,7 +257,7 @@ class TestStep:
     def test_first_order_response(self):
         system = benchmark_system(temperature=0.0)
         dt = default_timestep(system)
-        y, _ = _advance(system, loaded(system), dt, 1)
+        y, _ = _advance(system, loaded(system), dt, 1, 1)
         # from c3 = 1, the phonon picks up -i g dt to first order
         assert y[1] == pytest.approx(-1j * system.g_em * dt, rel=5e-3)
 
@@ -256,23 +276,20 @@ class TestStep:
 
     def test_comb_rotation_is_exact(self):
         # without optical coupling each mode only rotates, at any step size
-        system = make_transfer_system(
-            g_c=G50, kappa=0.0, mode_spacing=TWO_PI * 1e6, mode_count=500
-        )
+        system = make_transfer_system(g_c=G50, kappa=0.0)
+        assert system.mode_count == 500
         rng = np.random.default_rng(7)
         y = np.zeros(system.size, dtype=complex)
         y[2] = 1.0
         y[3:] = rng.normal(size=500) + 1j * rng.normal(size=500)
         dt = max_timestep(system)
-        got, _ = _advance(system, y, dt, 1)
+        got, _ = _advance(system, y, dt, 1, 1)
         expected = np.exp(-1j * system.detunings * dt) * y[3:]
         assert np.max(np.abs(got[3:] - expected)) < 1e-14
 
     def test_closed_limit_matches_analytic(self):
         # no decay at all: the three-state exchange, photon modes inert
-        system = make_transfer_system(
-            g_c=G50, kappa=0.0, mode_spacing=TWO_PI * 1e6, mode_count=64
-        )
+        system = on_comb(make_transfer_system(g_c=G50, kappa=0.0), 1e6, 64)
         period = TWO_PI / (math.sqrt(2.0) * G50)
         y = integrate(system, period).final_amplitudes
         analytic = closed_evolution(G50, period)
@@ -283,7 +300,7 @@ class TestStep:
 
 class TestAgainstDensePropagator:
     def test_trajectory_matches_matrix_exponential(self):
-        system = benchmark_system(mode_count=200, mode_spacing=TWO_PI * 2.5e6)
+        system = on_comb(benchmark_system(), 2.5e6, 200)
         t_end = 50e-9
         record = integrate(system, t_end)
         oracle = expm(dense_generator(system) * t_end) @ loaded(system)
@@ -292,9 +309,7 @@ class TestAgainstDensePropagator:
 
     def test_widest_comb_matches_matrix_exponential(self):
         # 200 MHz tier: 2000 modes, the comb whose bandwidth once set the step
-        system = benchmark_system(
-            g_c=TWO_PI * 200e6, mode_spacing=None, mode_count=None
-        )
+        system = benchmark_system(g_c=TWO_PI * 200e6)
         assert system.mode_count == 2000
         t_end = 20e-9
         record = integrate(system, t_end)
@@ -314,12 +329,14 @@ class TestAgainstDensePropagator:
         # both losses far above the couplings, or thermally enhanced to
         # them at 1e5 K: they sit in the integrating factor and bound no
         # step (one such loss with the other small is a known limit, README)
-        system = benchmark_system(
-            mode_count=200,
-            mode_spacing=TWO_PI * 2.5e6,
-            gamma_m=TWO_PI * loss_hz,
-            gamma_lc=TWO_PI * loss_hz,
-            temperature=temperature,
+        system = on_comb(
+            benchmark_system(
+                gamma_m=TWO_PI * loss_hz,
+                gamma_lc=TWO_PI * loss_hz,
+                temperature=temperature,
+            ),
+            2.5e6,
+            200,
         )
         t_end = 50e-9
         record = integrate(system, t_end)
@@ -369,9 +386,7 @@ class TestMarkovLimit:
         t_end = 150e-9
 
         def gap(spacing_hz, count):
-            system = benchmark_system(
-                mode_spacing=TWO_PI * spacing_hz, mode_count=count
-            )
+            system = on_comb(benchmark_system(), spacing_hz, count)
             record = integrate(system, t_end)
             return abs(record.fidelity[-1] - markov_fidelity(system, t_end))
 
