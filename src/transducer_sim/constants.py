@@ -10,7 +10,8 @@ import math
 TWO_PI = 2.0 * math.pi
 
 # SI-defined exact values and the CODATA 2022 vacuum permittivity, written
-# as literals so a run imports no more than numpy; each equals the float
+# as literals so that no run imports scipy (a statics run imports only the
+# standard library, a trajectory run numpy as well); each equals the float
 # that ``scipy.constants`` gives, and hbar is h / 2 pi as scipy computes it.
 SPEED_OF_LIGHT = 299792458.0
 ELEMENTARY_CHARGE = 1.602176634e-19

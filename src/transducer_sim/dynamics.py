@@ -42,18 +42,24 @@ each of its steps follows.  The blocks write their step rows into a
 buffer of 64 blocks, which is read into samples by one vectorised pass
 when it is full or the run ends: the loop only steps, and the buffer
 stays the same size however long the run.
+
+numpy is imported by the functions that build and step a trajectory, not
+when this module loads, so a process that runs only the statics loads the
+standard library alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import TWO_PI
 from .coupling import thermal_occupation
 from .errors import ConfigError, StepSizeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: hard ceiling on the step relative to the fastest detuned mode
 MAX_STEP_FRACTION = 0.05
@@ -65,7 +71,11 @@ _DT_RATE_FRACTION = 0.03
 #: keep runs clear of the revival of the discretized photon comb
 _REVIVAL_SAFETY = 0.95
 
-#: most steps one run may plan; at ~8 us per step this is ~13 min
+#: most steps one run may plan; at ~8 us per step this is ~13 min.  On the
+#: comb that make_transfer_system derives, a run short of its revival plans
+#: at most about 7.0e7 steps (0.95 revival times g / 0.03 at the largest g
+#: that MAX_MODE_COUNT modes cover), so only a system built on its own comb
+#: reaches this
 MAX_STEPS = 10 ** 8
 
 #: most photon modes one comb may hold; the power table alone is then
@@ -129,10 +139,6 @@ class TransferSystem:
                 f"5 kappa = {5 * self.kappa:.3e} rad/s; increase mode_count "
                 f"or mode_spacing"
             )
-        j = np.arange(1, self.mode_count + 1)
-        object.__setattr__(
-            self, "_detunings", (j - self.mode_count / 2.0) * self.mode_spacing
-        )
 
     @property
     def half_bandwidth(self) -> float:
@@ -146,8 +152,11 @@ class TransferSystem:
 
     @property
     def detunings(self) -> np.ndarray:
-        """Mode detunings (j - N/2) delta_w for j = 1..N (rad/s)."""
-        return self._detunings
+        """Mode detunings (j - N/2) delta_w for j = 1..N (rad/s), built on each read."""
+        import numpy as np
+
+        j = np.arange(1, self.mode_count + 1)
+        return (j - self.mode_count / 2.0) * self.mode_spacing
 
     @property
     def revival_time(self) -> float:
@@ -183,14 +192,25 @@ def step_plan(system: TransferSystem, duration: float):
     """``(n_steps, dt)`` that lands an integer number of steps on ``duration``.
 
     ``n_steps = ceil(duration / dt)`` for the :func:`default_timestep`,
-    which is then shrunk to ``duration / n_steps``.
+    which is then shrunk to ``duration / n_steps``.  The duration is
+    checked against the comb's revival before any step is counted, so a
+    run past the revival is refused as such however many steps it takes.
 
     Raises
     ------
+    ConfigError
+        If the duration is negative or runs into the discretization revival.
     StepSizeError
         If the step is not positive, or if the run takes more than
         :data:`MAX_STEPS` steps.
     """
+    if duration < 0:
+        raise ConfigError("duration must be nonnegative")
+    if duration > _REVIVAL_SAFETY * system.revival_time:
+        raise ConfigError(
+            f"duration {duration:.3e} s runs into the discretization revival "
+            f"at {system.revival_time:.3e} s; shorten the duration"
+        )
     dt = default_timestep(system)
     if not dt > 0:
         raise StepSizeError("dt must be positive")
@@ -218,6 +238,8 @@ def _step_map(system: TransferSystem, dt: float, rot_h_sum: complex) -> np.ndarr
     of rot_h (c - kp x1 h/2), rot_h c - kp u1 h/2 or rot c - kp rot_h v1 h.
     ``rot_h_sum`` is sum_j rot_h_j.
     """
+    import numpy as np
+
     g1, g2, kp = system.g_om, system.g_em, system.kappa_prime
     half, sixth = 0.5 * dt, dt / 6.0
     kp_rot_h = kp * rot_h_sum
@@ -270,6 +292,8 @@ def _block_map(step_map: np.ndarray, kernel: np.ndarray):
     k + 1 steps.  Both are causal: the first L steps of a block need only
     their first L entries.
     """
+    import numpy as np
+
     n_pow = 2 * _BLOCK + 1
     lags = np.subtract.outer(np.arange(n_pow), np.arange(n_pow))
     # row a: G(a - e) on the injections in row e, then F_a itself
@@ -315,6 +339,8 @@ def _advance(
     |c2|^2, |c3|^2, survival, fidelity)``, one row each, at step 0, every
     ``record_every`` (>= 1) steps and the last step.
     """
+    import numpy as np
+
     n_pow = 2 * _BLOCK + 1
     rot_h = np.exp(-0.5j * dt * system.detunings)
     powers = np.empty((n_pow, system.mode_count), dtype=complex)
@@ -379,6 +405,8 @@ def _read_chunk(chunk, norms, form, picked, times):
     fidelity is its block's start norm plus the gains of the block's steps
     up to it.
     """
+    import numpy as np
+
     n_blocks = picked[-1] // _BLOCK + 1
     rows = chunk[:n_blocks].reshape(_BLOCK * n_blocks, 9)
     u = rows[:, 3:]
@@ -407,18 +435,10 @@ class TrajectoryRecord:
 
     def first_time(self, level: float) -> float:
         """First sampled time at which the fidelity reaches ``level``; NaN if none does."""
+        import numpy as np
+
         crossed = np.flatnonzero(self.fidelity >= level)
         return float(self.times[crossed[0]]) if crossed.size else math.nan
-
-
-def _check_duration(system: TransferSystem, duration: float):
-    if duration < 0:
-        raise ConfigError("duration must be nonnegative")
-    if duration > _REVIVAL_SAFETY * system.revival_time:
-        raise ConfigError(
-            f"duration {duration:.3e} s runs into the discretization revival "
-            f"at {system.revival_time:.3e} s; shorten the duration"
-        )
 
 
 def integrate(
@@ -430,7 +450,8 @@ def integrate(
     ``duration`` (see :func:`step_plan`); populations are recorded every
     ``record_every`` steps (the initial and final points always included).
     """
-    _check_duration(system, duration)
+    import numpy as np
+
     if record_every < 1:
         raise ConfigError("record_every must be >= 1")
     n_steps, dt = step_plan(system, duration)

@@ -242,10 +242,23 @@ def zero_point_amplitude(effective_mass: float, frequency: float) -> float:
 def operating_point_at_deflection(
     geom: MembraneGeometry, deflection: float
 ) -> OperatingPoint:
-    """Operating point of the membrane held at a given static deflection."""
+    """Operating point of the membrane held at a given static deflection.
+
+    Raises
+    ------
+    FloatingPointError
+        If the mode frequency or the effective mass is not a positive
+        finite float, as where the geometry overflows or underflows it.
+    """
     tension = induced_tension(geom, deflection)
     omega = flexural_frequency(geom, tension)
     m_eff = geom.effective_mass
+    # the chained comparisons are False for nan as well
+    if not (0.0 < omega < math.inf and 0.0 < m_eff < math.inf):
+        raise FloatingPointError(
+            f"mode frequency {omega:g} rad/s or effective mass {m_eff:g} kg "
+            f"is not a positive finite float"
+        )
     return OperatingPoint(
         deflection=deflection,
         tension=tension,
@@ -345,17 +358,28 @@ def solve_equilibrium(
     PullInError
         If b >= f(u*), i.e. the bias voltage is past the pull-in
         instability, or if the root found is not stable.
+    ArithmeticError
+        If a, b or the operating point leave the finite float range: a
+        ``FloatingPointError`` where they come out inf or nan, and the
+        ``OverflowError`` or ``ZeroDivisionError`` of the float operation
+        that leaves it first.
     """
     if env.bias_voltage == 0.0:
         return operating_point_at_deflection(geom, 0.0)
 
     k1, k3 = _stiffness_coefficients(geom)
     d = env.gap
+    a = k3 * d ** 2 / k1
     b = (
         EPSILON_0 * geom.width * geom.length * env.bias_voltage ** 2
         / (2.0 * k1 * d ** 3)
     )
-    u = _stable_root(k3 * d ** 2 / k1, b)
+    # a nan would decide pull-in without a comparison holding
+    if not (a < math.inf and b < math.inf):
+        raise FloatingPointError(
+            f"force balance coefficients a = {a:g}, b = {b:g} are not finite"
+        )
+    u = _stable_root(a, b)
     if u is None:
         raise PullInError(
             f"no stable equilibrium below the gap at {env.bias_voltage:g} V "

@@ -4,8 +4,9 @@ Each run function takes a parsed :class:`ExperimentConfig` and returns a
 :class:`ResultTable` with one row per sweep point, in sweep order.  Rows
 where the physics refuses (pull-in, tuning, unstable equilibrium,
 threshold not reached) are flagged in a status column instead of aborting
-the sweep.  Trajectory runs write their step plan and photon comb into
-the provenance header.
+the sweep; a statics point that leaves the float range is a config error.
+Trajectory runs write their step plan and photon comb into the provenance
+header.
 """
 
 from __future__ import annotations
@@ -77,6 +78,26 @@ def _require_sweep(config: ExperimentConfig, allowed):
     return values
 
 
+def _statics_rows(variable: str, values, one) -> list:
+    """``one(value)`` for each sweep value, in order.
+
+    A point whose statics leave the float range raises an
+    ``ArithmeticError``: an overflow, a division by an underflowed zero, or
+    the ``FloatingPointError`` of an operating point or a rate that is not
+    finite.  It is refused as a config error that names the point.
+    """
+    rows = []
+    for value in values:
+        try:
+            rows.append(one(value))
+        except ArithmeticError:
+            raise ConfigError(
+                f"the statics at {variable} = {value:g} leave the float range; "
+                f"check the [geometry], [circuit] and [emitter] values"
+            ) from None
+    return rows
+
+
 def run_mechanics_sweep(config: ExperimentConfig) -> ResultTable:
     """Deflection, tension and mode frequency versus thickness or bias."""
     values = _require_sweep(config, ("thickness", "bias_voltage"))
@@ -109,7 +130,7 @@ def run_mechanics_sweep(config: ExperimentConfig) -> ResultTable:
             ("frequency", "Hz"),
             ("status", "-"),
         ],
-        rows=[one(value) for value in values],
+        rows=_statics_rows(variable, values, one),
         meta={"config_sha256": config.config_hash, "run": "mechanics"},
     )
 
@@ -156,6 +177,8 @@ def run_coupling_sweep(config: ExperimentConfig) -> ResultTable:
         g_em = circuit_mod.electromechanical_coupling(op, circ, geom)
         g_om1 = strain_coupling(op, geom, config.emitter)
         g_om2 = stark_coupling(op, env, config.emitter)
+        if not (math.isfinite(g_em) and math.isfinite(g_om1) and math.isfinite(g_om2)):
+            raise FloatingPointError("coupling rates are not finite")
         return (value, g_em / TWO_PI, g_om1 / TWO_PI, g_om2 / TWO_PI, STATUS_OK)
 
     return ResultTable(
@@ -166,7 +189,7 @@ def run_coupling_sweep(config: ExperimentConfig) -> ResultTable:
             ("g_om2", "Hz"),
             ("status", "-"),
         ],
-        rows=[one(value) for value in values],
+        rows=_statics_rows(variable, values, one),
         meta={"config_sha256": config.config_hash, "run": "couplings"},
     )
 

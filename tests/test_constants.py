@@ -1,10 +1,12 @@
-"""The package's physical constants, and a run that never imports scipy.
+"""The package's physical constants, and runs that load only what they use.
 
-``constants.py`` writes c, e, eps0, hbar and k_B as literals so that a run
-loads only numpy and the standard library.  The literals must be the very
-floats ``scipy.constants`` gives, or every output row would move.  Both
-tests read the package in a fresh process, because this test process has
-scipy loaded already.
+``constants.py`` writes c, e, eps0, hbar and k_B as literals so that no
+run imports scipy.  The literals must be the very floats
+``scipy.constants`` gives, or every output row would move.
+``import transducer_sim`` and the statics runs (``mechanics``,
+``couplings``) load only the standard library; numpy is imported when a
+trajectory is built.  These tests read the package in a fresh process,
+because this test process has scipy and numpy loaded already.
 """
 
 import json
@@ -40,9 +42,13 @@ CLI_RUNS = """
 import json, sys
 src, runs = sys.argv[1:]
 sys.path.insert(0, src)
+import transducer_sim
 from transducer_sim import cli
-codes = [cli.main(argv) for argv in json.loads(runs)]
-print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+codes, numpy = [], []
+for argv in json.loads(runs):
+    codes.append(cli.main(argv))
+    numpy.append("numpy" in sys.modules)
+print(json.dumps({"codes": codes, "numpy": numpy, "scipy": "scipy" in sys.modules}))
 """
 
 
@@ -63,7 +69,8 @@ def test_literals_equal_scipy_constants():
         assert report["values"][name] == getattr(scipy.constants, scipy_name), name
 
 
-def test_cli_runs_without_scipy(tmp_path):
+def _cli_runs(tmp_path):
+    """argv of one small run per subcommand: the two statics runs first."""
     short = "\n[simulation]\ng_c_hz = 50e6\nduration_s = 5e-9\n"
     documents = {
         "mechanics": MINIMAL + sweep("bias_voltage", 0.0, 3.3),
@@ -76,6 +83,18 @@ def test_cli_runs_without_scipy(tmp_path):
         cfg = tmp_path / f"{command}.ini"
         cfg.write_text(text)
         runs.append([command, "--config", str(cfg), "--out", str(tmp_path / f"{command}.csv")])
-    report = _run(CLI_RUNS, json.dumps(runs))
-    assert report["codes"] == [0] * len(runs)
+    return runs
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    report = _run(CLI_RUNS, json.dumps(_cli_runs(tmp_path)))
+    assert report["codes"] == [0, 0, 0, 0]
     assert report["scipy"] is False
+
+
+def test_statics_runs_without_numpy(tmp_path):
+    # the package and the statics runs leave numpy unloaded; the trajectory
+    # runs after them import it and still succeed in the same process
+    report = _run(CLI_RUNS, json.dumps(_cli_runs(tmp_path)))
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["numpy"] == [False, False, True, True]

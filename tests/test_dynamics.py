@@ -262,11 +262,13 @@ class TestStep:
         assert y[1] == pytest.approx(-1j * system.g_em * dt, rel=5e-3)
 
     def test_step_count_is_bounded(self):
-        # 0.03 / (0.03 * 2^40) is exactly 2^-40, so dt * MAX_STEPS is exact
+        # 0.03 / (0.03 * 2^40) is exactly 2^-40, so dt * MAX_STEPS is exact;
+        # the 1 Hz comb revives after 1 s, far past the 9.1e-5 s planned,
+        # since the revival is checked before the steps are counted
         g = 0.03 * 2.0 ** 40
         system = TransferSystem(
             g_om=g, g_em=g, kappa=0.0, gamma_m=0.0, gamma_lc=0.0,
-            mode_spacing=TWO_PI * 1e6, mode_count=500,
+            mode_spacing=TWO_PI * 1.0, mode_count=500,
         )
         dt = default_timestep(system)
         assert dt == 2.0 ** -40
@@ -471,8 +473,10 @@ class TestIntegrate:
 
     def test_revival_guard(self):
         system = benchmark_system()  # revival at 1 us for 1 MHz spacing
-        with pytest.raises(ConfigError):
-            integrate(system, 1.5e-6)
+        # 1 s would also take 1.0e10 steps: the revival is refused first
+        for duration in (1.5e-6, 1.0):
+            with pytest.raises(ConfigError, match="revival"):
+                integrate(system, duration)
 
     def test_deterministic_reruns(self):
         a = integrate(benchmark_system(), 40e-9)

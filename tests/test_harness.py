@@ -17,7 +17,7 @@ from transducer_sim import (
     run_transfer,
 )
 from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _build_parser, main
-from transducer_sim.config import MAX_SWEEP_POINTS
+from transducer_sim.config import _SCHEMA, MAX_SWEEP_POINTS
 
 from conftest import TWO_PI, pin_comb
 
@@ -136,6 +136,29 @@ PINNED_COMBS = {
     "explicit_comb_spacing_1e307": (1e307, 500),
     "explicit_comb_spacing_1e308": (1e308, 500),
 }
+
+#: the bundled statics configs and the command that runs each
+STATICS_CONFIGS = {
+    "mechanics_voltage_sweep.ini": "mechanics",
+    "mechanics_thickness_sweep.ini": "mechanics",
+    "couplings_voltage_sweep.ini": "couplings",
+}
+
+#: (section, key) of every device key and of the sweep's stop
+STATICS_KEYS = sorted(
+    [(section, key) for section in ("geometry", "circuit") for key in _SCHEMA[section]]
+    + [("sweep", "stop")]
+)
+
+
+def set_key(text, section, key, value):
+    """``text`` with ``key`` set to ``value``, added to ``section`` if absent."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.split("=")[0].strip() == key:
+            lines[i] = f"{key} = {value}\n"
+            return "".join(lines)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
 
 
 class TestParseConfig:
@@ -476,6 +499,20 @@ class TestCli:
             assert "more than 1e+02 steps" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("duration", ["5e-6", "1"])
+    def test_duration_past_revival_exits_2(self, tmp_path, capsys, duration):
+        # the 500-mode, 1 MHz comb revives after 1 us; 1 s would also take
+        # 1.0e10 steps, but the revival is checked before the steps are
+        # counted, in the header's step plan as in the run's
+        text = read_config("paper_defaults.ini").replace(
+            "duration_s = 150e-9", f"duration_s = {duration}"
+        )
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(text)
+        assert main(["transfer", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "runs into the discretization revival" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_physics_error_exits_3(self, tmp_path, monkeypatch, capsys):
         # a step plan beyond MAX_STEPS is a physics-level refusal; the
         # benchmark trajectory plans 1571 steps
@@ -590,6 +627,26 @@ class TestCli:
             rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
             assert len(rows) > 1
             assert np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("value", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("section, key", STATICS_KEYS)
+    @pytest.mark.parametrize("name", sorted(STATICS_CONFIGS))
+    def test_statics_grid_exit_codes(self, tmp_path, name, section, key, value):
+        # finite values whose statics overflow or underflow the float range
+        # exited 1 with a traceback, or wrote ok rows of inf
+        command = STATICS_CONFIGS[name]
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(set_key(read_config(name), section, key, value))
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS)
+        if code == EXIT_OK:
+            lines = [line for line in out.read_text().splitlines() if line[0] != "#"]
+            rows = [line.split(",") for line in lines[1:]]
+            assert rows
+            assert {row[-1] for row in rows} <= {"ok", "pull_in", "tuning_error", "unstable"}
+            for row in rows:
+                if row[-1] == "ok":
+                    assert all(math.isfinite(float(v)) for v in row[:-1]), row
 
     def test_parser_built_once_per_process(self, tmp_path):
         parser = _build_parser()
