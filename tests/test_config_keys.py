@@ -1,4 +1,4 @@
-"""Every config key moves an output.
+"""Every config key moves an output, and no value of a key crashes a run.
 
 For each key of ``config._SCHEMA`` a small document runs twice through the
 CLI: as written, and with that key set to another value.  Some row or
@@ -6,13 +6,19 @@ header line other than ``# config_sha256=`` must differ between the two
 CSVs.  A key that the parser accepts but no run reads then fails here
 instead of lingering as a setting that does nothing; the exceptions are
 named in ``UNREAD_BY_DESIGN``, each with its reason.
+
+Every number key is also set, one at a time, to values across the float
+range (zero, negatives, the extremes, nan and inf) in a document of each
+command: the CLI exits 0, 2 or 3, never with a traceback, and a run that
+succeeds writes only known statuses and finite ``ok`` rows.
 """
 
+import math
 import re
 
 import pytest
 
-from transducer_sim.cli import EXIT_OK, main
+from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, main
 from transducer_sim.config import _SCHEMA
 
 DEVICE = """
@@ -134,3 +140,62 @@ def test_unread_key_moves_nothing(tmp_path, case):
         assert output(tmp_path, "changed", command, changed) == output(
             tmp_path, "base", command, text
         ), command
+
+
+#: a document of each command, with a short run
+GRID_DOCUMENTS = {
+    "mechanics_bias": ("mechanics", MECHANICS_BIAS),
+    "mechanics_log_thickness": ("mechanics", MECHANICS_THICKNESS.replace("linear", "log")),
+    "couplings_bias": ("couplings", COUPLINGS),
+    "couplings_displacement": ("couplings", DEVICE + sweep("displacement", 0.0, 3e-9)),
+    "transfer": ("transfer", TRANSFER),
+    "scan_temperature": ("scan", SCAN),
+    "scan_kappa": ("scan", TRANSFER + sweep("kappa", 20e6, 50e6)),
+}
+
+GRID_VALUES = ("0", "-1", "1e-300", "1e300", "-1e300", "nan", "inf")
+
+#: every number key: the device keys, and the sweep range of a sweep document
+GRID_KEYS = [
+    (section, key) for section, keys in _SCHEMA.items() if section != "sweep" for key in keys
+]
+
+KNOWN_STATUSES = {"ok", "pull_in", "tuning_error", "unstable", "not_reached"}
+
+
+def grid_fault(tmp_path, command, text):
+    """Why one run breaks the exit-code claims, or None."""
+    cfg, out = tmp_path / "grid.ini", tmp_path / "grid.csv"
+    cfg.write_text(text)
+    out.unlink(missing_ok=True)
+    try:
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    except Exception as exc:  # the claim is that no value escapes as a traceback
+        return f"raised {type(exc).__name__}: {exc}"
+    if code not in (EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS):
+        return f"exit {code}"
+    if code != EXIT_OK:
+        return None
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    has_status = lines[0].endswith(",status")
+    for line in lines[1:]:
+        cells = line.split(",")
+        status = cells.pop() if has_status else "ok"
+        if status not in KNOWN_STATUSES:
+            return f"status {status!r}"
+        if status == "ok" and not all(math.isfinite(float(v)) for v in cells):
+            return f"ok row not finite: {line}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(GRID_DOCUMENTS))
+def test_every_key_grid_exit_codes(tmp_path, name):
+    command, text = GRID_DOCUMENTS[name]
+    keys = GRID_KEYS + ([("sweep", "start"), ("sweep", "stop")] if "[sweep]" in text else [])
+    faults = []
+    for section, key in keys:
+        for value in GRID_VALUES:
+            fault = grid_fault(tmp_path, command, with_key(text, section, key, value))
+            if fault:
+                faults.append(f"[{section}] {key} = {value}: {fault}")
+    assert not faults, "\n".join(faults)
