@@ -9,9 +9,12 @@ The CSV goes to the ``--out`` file, or to stdout without one.
 
 Exit codes: 0 success, 2 configuration errors (including a config file
 that cannot be read or decoded, and an output path that cannot be
-written), 3 physics errors that are not survivable inside a sweep
-(pull-in or tuning failure of a single-point run, a trajectory that
-would take more than ``dynamics.MAX_STEPS`` steps).
+written), 3 physics errors that no status flag can carry: a trajectory
+that would take more than ``dynamics.MAX_STEPS`` steps, or a pull-in or
+tuning failure that a run does not flag.  No config document reaches
+exit 3 today: every statics run is a sweep that flags pull-in and tuning
+per row, and on the comb derived from the rates a trajectory short of
+its revival plans at most about 7.0e7 steps.
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
 """Strict INI-style experiment configuration.
 
 A config document holds one block per subsystem; every key carries its
-unit in the name.  Unknown sections or keys are rejected so typos fail
-loudly.  Values outside the physical range (a negative sweep start, a
-zero mode frequency) are refused here rather than deep inside a
-run.  Frequencies in documents are ordinary frequencies in Hz and are
-converted to angular rates here.
+unit in the name, and unknown sections or keys are rejected so typos fail
+loudly.  ``_SCHEMA`` maps each key to a field of its section's record and
+to the conversion from the document's unit (frequencies in Hz become
+angular rates).  Defaults and ranges live in the records
+(``MembraneGeometry``, ``ElectrostaticEnvironment``, ``EmitterParams``,
+``SimulationSettings``): a key left out takes its field's default, and a
+value that the record's ``__post_init__`` or the conversion refuses is a
+``ConfigError`` naming the section, raised here rather than inside a run.
+The ``[sweep]`` keys are read one by one: their checks depend on one another.
 """
 
 from __future__ import annotations
@@ -22,60 +26,55 @@ from .constants import (
     strain_shift_to_si,
     wavelength_to_angular_frequency,
 )
-from .coupling import (
-    DEFAULT_OPTICAL_DECAY_HZ,
-    DEFAULT_STARK_SHIFT_MEV_PER_V_PER_M,
-    DEFAULT_STRAIN_SHIFT_MEV_PER_PERCENT,
-    DEFAULT_ZPL_WAVELENGTH,
-    EmitterParams,
-)
+from .coupling import EmitterParams
 from .errors import ConfigError
-from .mechanics import (
-    DEFAULT_CLAMPING_COEFFICIENT,
-    DEFAULT_DENSITY,
-    DEFAULT_MODE_MASS_FRACTION,
-    DEFAULT_PRE_TENSION,
-    ElectrostaticEnvironment,
-    MembraneGeometry,
-)
+from .mechanics import ElectrostaticEnvironment, MembraneGeometry
 
 SWEEP_VARIABLES = ("thickness", "bias_voltage", "displacement", "temperature", "kappa")
 
 #: most points one sweep may hold; its values are built as one list
 MAX_SWEEP_POINTS = 10 ** 6
 
+
+def _hz(value):
+    """An ordinary frequency (Hz) as an angular rate (rad/s)."""
+    return TWO_PI * value
+
+
+#: section -> key -> (field of the section's record, conversion from the
+#: document's unit); the [sweep] keys are read one by one in ``parse_config``
 _SCHEMA = {
     "geometry": {
-        "length_m",
-        "width_m",
-        "thickness_m",
-        "youngs_modulus_pa",
-        "mass_density_kg_m3",
-        "pre_tension_n",
-        "clamping_coefficient",
-        "mode_mass_fraction",
+        "length_m": ("length", float),
+        "width_m": ("width", float),
+        "thickness_m": ("thickness", float),
+        "youngs_modulus_pa": ("youngs_modulus", float),
+        "mass_density_kg_m3": ("density", float),
+        "pre_tension_n": ("pre_tension", float),
+        "clamping_coefficient": ("clamping_coefficient", float),
+        "mode_mass_fraction": ("mode_mass_fraction", float),
     },
     "circuit": {
-        "gap_m",
-        "bias_voltage_v",
-        "inductance_h",
+        "gap_m": ("gap", float),
+        "bias_voltage_v": ("bias_voltage", float),
+        "inductance_h": ("inductance", float),
     },
     "emitter": {
-        "zpl_wavelength_m",
-        "optical_decay_hz",
-        "strain_shift_mev_per_percent",
-        "stark_shift_mev_per_v_per_m",
+        "zpl_wavelength_m": ("zpl_frequency", wavelength_to_angular_frequency),
+        "optical_decay_hz": ("optical_decay", _hz),
+        "strain_shift_mev_per_percent": ("strain_shift_coefficient", strain_shift_to_si),
+        "stark_shift_mev_per_v_per_m": ("stark_shift_coefficient", stark_shift_to_si),
     },
     "simulation": {
-        "g_c_hz",
-        "kappa_hz",
-        "gamma_m_hz",
-        "gamma_lc_hz",
-        "temperature_k",
-        "mode_frequency_hz",
-        "duration_s",
+        "g_c_hz": ("g_c", _hz),
+        "kappa_hz": ("kappa", _hz),
+        "gamma_m_hz": ("gamma_m", _hz),
+        "gamma_lc_hz": ("gamma_lc", _hz),
+        "temperature_k": ("temperature", float),
+        "mode_frequency_hz": ("mode_frequency", _hz),
+        "duration_s": ("duration", float),
     },
-    "sweep": {"variable", "start", "stop", "points", "spacing"},
+    "sweep": dict.fromkeys(("variable", "start", "stop", "points", "spacing")),
 }
 
 _REQUIRED = {
@@ -88,13 +87,21 @@ _REQUIRED = {
 class SimulationSettings:
     """Transfer-run parameters; rates are angular (rad/s)."""
 
-    g_c: float | None
-    kappa: float
-    gamma_m: float
-    gamma_lc: float
-    temperature: float
-    mode_frequency: float
-    duration: float | None
+    g_c: float | None = None
+    kappa: float = TWO_PI * 50e6
+    gamma_m: float = TWO_PI * 100e3
+    gamma_lc: float = TWO_PI * 100e3
+    temperature: float = 0.05           # K
+    mode_frequency: float = TWO_PI * 5e9
+    duration: float | None = None       # s
+
+    def __post_init__(self):
+        if self.duration is not None and self.duration < 0:
+            raise ValueError("duration_s must be nonnegative")
+        if self.temperature < 0:
+            raise ValueError("temperature_k must be nonnegative")
+        if not self.mode_frequency > 0:
+            raise ValueError("mode_frequency_hz must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,12 +133,10 @@ class ExperimentConfig:
     config_hash: str = field(default="", compare=False)
 
 
-def _get_float(section, key, getter, default=None, required=False):
+def _get_float(section, key, getter):
     raw = getter(section, key, fallback=None)
     if raw is None:
-        if required:
-            raise ConfigError("missing required field", section, key)
-        return default
+        raise ConfigError("missing required field", section, key)
     try:
         value = float(raw)
     except ValueError:
@@ -150,6 +155,28 @@ def _get_int(section, key, getter):
         return int(raw)
     except ValueError:
         raise ConfigError(f"not an integer: {raw!r}", section, key) from None
+
+
+def _circuit(gap, bias_voltage, inductance=DEFAULT_INDUCTANCE):
+    """The ``[circuit]`` record: the electrostatic environment and the inductance."""
+    environment = ElectrostaticEnvironment(gap=gap, bias_voltage=bias_voltage)
+    if not inductance > 0:
+        raise ValueError("inductance must be positive")
+    return environment, inductance
+
+
+def _record(make, cp, section):
+    """``make`` called with the fields of the keys that ``section`` gives; a
+    ``ValueError`` of a conversion or of ``make`` is a ``ConfigError`` naming
+    the section."""
+    fields = {}
+    try:
+        for key, (name, convert) in _SCHEMA[section].items():
+            if cp.has_option(section, key):
+                fields[name] = convert(_get_float(section, key, cp.get))
+        return make(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc), section) from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -180,87 +207,12 @@ def parse_config(text: str) -> ExperimentConfig:
             if not cp.has_option(section, key):
                 raise ConfigError("missing required field", section, key)
 
+    geometry = _record(MembraneGeometry, cp, "geometry")
+    environment, inductance = _record(_circuit, cp, "circuit")
+    emitter = _record(EmitterParams, cp, "emitter")
+    simulation = _record(SimulationSettings, cp, "simulation")
+
     get = cp.get
-
-    try:
-        geometry = MembraneGeometry(
-            length=_get_float("geometry", "length_m", get, required=True),
-            width=_get_float("geometry", "width_m", get, required=True),
-            thickness=_get_float("geometry", "thickness_m", get, required=True),
-            youngs_modulus=_get_float(
-                "geometry", "youngs_modulus_pa", get, required=True
-            ),
-            density=_get_float("geometry", "mass_density_kg_m3", get, DEFAULT_DENSITY),
-            pre_tension=_get_float("geometry", "pre_tension_n", get, DEFAULT_PRE_TENSION),
-            clamping_coefficient=_get_float(
-                "geometry", "clamping_coefficient", get, DEFAULT_CLAMPING_COEFFICIENT
-            ),
-            mode_mass_fraction=_get_float(
-                "geometry", "mode_mass_fraction", get, DEFAULT_MODE_MASS_FRACTION
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "geometry") from None
-
-    try:
-        environment = ElectrostaticEnvironment(
-            gap=_get_float("circuit", "gap_m", get, required=True),
-            bias_voltage=_get_float("circuit", "bias_voltage_v", get, required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "circuit") from None
-
-    inductance = _get_float("circuit", "inductance_h", get, DEFAULT_INDUCTANCE)
-    if not inductance > 0:
-        raise ConfigError("inductance must be positive", "circuit")
-
-    try:
-        emitter = EmitterParams(
-            zpl_frequency=wavelength_to_angular_frequency(
-                _get_float("emitter", "zpl_wavelength_m", get, DEFAULT_ZPL_WAVELENGTH)
-            ),
-            optical_decay=TWO_PI
-            * _get_float("emitter", "optical_decay_hz", get, DEFAULT_OPTICAL_DECAY_HZ),
-            strain_shift_coefficient=strain_shift_to_si(
-                _get_float(
-                    "emitter",
-                    "strain_shift_mev_per_percent",
-                    get,
-                    DEFAULT_STRAIN_SHIFT_MEV_PER_PERCENT,
-                )
-            ),
-            stark_shift_coefficient=stark_shift_to_si(
-                _get_float(
-                    "emitter",
-                    "stark_shift_mev_per_v_per_m",
-                    get,
-                    DEFAULT_STARK_SHIFT_MEV_PER_V_PER_M,
-                )
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "emitter") from None
-
-    g_c = _get_float("simulation", "g_c_hz", get)
-    duration = _get_float("simulation", "duration_s", get)
-    if duration is not None and duration < 0:
-        raise ConfigError("duration_s must be nonnegative", "simulation")
-    temperature = _get_float("simulation", "temperature_k", get, 0.05)
-    if temperature < 0:
-        raise ConfigError("temperature_k must be nonnegative", "simulation")
-    mode_frequency = _get_float("simulation", "mode_frequency_hz", get, 5e9)
-    if not mode_frequency > 0:
-        raise ConfigError("mode_frequency_hz must be positive", "simulation")
-    simulation = SimulationSettings(
-        g_c=None if g_c is None else TWO_PI * g_c,
-        kappa=TWO_PI * _get_float("simulation", "kappa_hz", get, 50e6),
-        gamma_m=TWO_PI * _get_float("simulation", "gamma_m_hz", get, 100e3),
-        gamma_lc=TWO_PI * _get_float("simulation", "gamma_lc_hz", get, 100e3),
-        temperature=temperature,
-        mode_frequency=TWO_PI * mode_frequency,
-        duration=duration,
-    )
-
     sweep = None
     if cp.has_section("sweep"):
         variable = get("sweep", "variable", fallback=None)
@@ -272,8 +224,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"expected one of {', '.join(SWEEP_VARIABLES)}",
                 "sweep",
             )
-        start = _get_float("sweep", "start", get, required=True)
-        stop = _get_float("sweep", "stop", get, required=True)
+        start = _get_float("sweep", "start", get)
+        stop = _get_float("sweep", "stop", get)
         points = _get_int("sweep", "points", get)
         if points < 1:
             raise ConfigError("points must be >= 1", "sweep")
@@ -291,16 +243,18 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("spacing must be 'linear' or 'log'", "sweep")
         if spacing == "log" and start <= 0:
             raise ConfigError("log spacing needs a positive start", "sweep")
-        sweep = SweepSettings(
-            variable=variable, start=start, stop=stop, points=points, spacing=spacing
-        )
+        if spacing == "log" and points > 1:
+            # the top point as ``SweepSettings.values`` builds it: stop / start can
+            # overflow, and so can its power near the top of the float range
+            try:
+                top = start * ((stop / start) ** (1.0 / (points - 1))) ** (points - 1)
+            except OverflowError:
+                top = math.inf
+            if not math.isfinite(top):
+                raise ConfigError(f"the log range {start:g} to {stop:g} overflows", "sweep")
+        sweep = SweepSettings(variable, start, stop, points, spacing)
 
     return ExperimentConfig(
-        geometry=geometry,
-        environment=environment,
-        inductance=inductance,
-        emitter=emitter,
-        simulation=simulation,
-        sweep=sweep,
+        geometry, environment, inductance, emitter, simulation, sweep,
         config_hash=hashlib.sha256(text.encode()).hexdigest(),
     )

@@ -7,6 +7,9 @@ CSVs.  A key that the parser accepts but no run reads then fails here
 instead of lingering as a setting that does nothing; the exceptions are
 named in ``UNREAD_BY_DESIGN``, each with its reason.
 
+README's "Config schema" table lists exactly these keys, and each
+default it gives is the one a document that leaves the key out gets.
+
 Every number key is also set, one at a time, to values across the float
 range (zero, negatives, the extremes, nan and inf) in a document of each
 command: the CLI exits 0, 2 or 3, never with a traceback, and a run that
@@ -15,11 +18,14 @@ succeeds writes only known statuses and finite ``ok`` rows.
 
 import math
 import re
+from pathlib import Path
 
 import pytest
 
 from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, main
-from transducer_sim.config import _SCHEMA
+from transducer_sim.config import _SCHEMA, parse_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 DEVICE = """
 [geometry]
@@ -140,6 +146,33 @@ def test_unread_key_moves_nothing(tmp_path, case):
         assert output(tmp_path, "changed", command, changed) == output(
             tmp_path, "base", command, text
         ), command
+
+
+def readme_schema():
+    """section -> key -> the note in parentheses after it, from README's table."""
+    text = README.read_text().split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    return {
+        section: dict(re.findall(r"`(\w+)`(?: \(([^)]*)\))?", cell))
+        for section, cell in re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", text, re.MULTILINE)
+    }
+
+
+def test_readme_lists_the_schema():
+    assert {section: set(keys) for section, keys in readme_schema().items()} == {
+        section: set(keys) for section, keys in _SCHEMA.items()
+    }
+
+
+def test_readme_defaults_are_applied():
+    # the notes of [sweep] list its choices; every other note is a default
+    written = DEVICE
+    for section, keys in readme_schema().items():
+        if section != "sweep":
+            for key, default in keys.items():
+                if default:
+                    written = with_key(written, section, key, default)
+    assert written.count("\n") - DEVICE.count("\n") >= 14
+    assert parse_config(written) == parse_config(DEVICE)
 
 
 #: a document of each command, with a short run

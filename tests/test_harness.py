@@ -220,6 +220,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ordered"):
             parse_config(text)
 
+    def test_log_range_whose_power_overflows_rejected(self):
+        # stop / start is finite, but the top point's power overflows, which
+        # raised OverflowError when the runner built the points
+        text = MINIMAL + sweep("thickness", 1.0, 1.79769313486231e308, 199) + "spacing = log\n"
+        with pytest.raises(ConfigError, match="overflows") as excinfo:
+            parse_config(text)
+        assert excinfo.value.section == "sweep"
+        text = text.replace("stop = 1.79769313486231e+308", "stop = 1e200")
+        assert parse_config(text).sweep.values()[-1] == pytest.approx(1e200, rel=1e-9)
+
     def test_unknown_sweep_variable_rejected(self):
         text = MINIMAL + "\n[sweep]\nvariable = gap\nstart = 1e-9\nstop = 2e-9\npoints = 2\n"
         with pytest.raises(ConfigError, match="sweep variable"):
@@ -647,6 +657,19 @@ class TestCli:
             for row in rows:
                 if row[-1] == "ok":
                     assert all(math.isfinite(float(v)) for v in row[:-1]), row
+
+    def test_log_range_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # stop / start = 3.3e309 overflows; every point after the first was inf
+        text = read_config("mechanics_thickness_sweep.ini").replace(
+            "stop = 100e-9", "stop = 1e300"
+        )
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(text)
+        assert main(["mechanics", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[sweep]" in err
+        assert "inf" not in err
+        assert not out.exists()
 
     def test_parser_built_once_per_process(self, tmp_path):
         parser = _build_parser()
