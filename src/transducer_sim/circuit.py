@@ -13,7 +13,7 @@ yields a single-photon electromechanical coupling rate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import EPSILON_0, HBAR
 from .errors import TuningError
@@ -22,8 +22,7 @@ from .mechanics import MembraneGeometry, OperatingPoint
 DEFAULT_INDUCTANCE = 1e-6        # H
 
 
-@dataclass(frozen=True)
-class CircuitParams:
+class CircuitParams(NamedTuple):
     """The tuned resonator at one operating point, as the coupling rate reads it.
 
     The resonator's loss is not a circuit element here: the transfer runs

@@ -7,7 +7,7 @@ to the conversion from the document's unit (frequencies in Hz become
 angular rates).  Defaults and ranges live in the records
 (``MembraneGeometry``, ``ElectrostaticEnvironment``, ``EmitterParams``,
 ``SimulationSettings``): a key left out takes its field's default, and a
-value that the record's ``__post_init__`` or the conversion refuses is a
+value that the record's ``_check`` or the conversion refuses is a
 ``ConfigError`` naming the section, raised here rather than inside a run.
 The ``[sweep]`` keys are read one by one: their checks depend on one another.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .circuit import DEFAULT_INDUCTANCE
 from .constants import (
@@ -29,6 +29,7 @@ from .constants import (
 from .coupling import EmitterParams
 from .errors import ConfigError
 from .mechanics import ElectrostaticEnvironment, MembraneGeometry
+from .records import checked
 
 SWEEP_VARIABLES = ("thickness", "bias_voltage", "displacement", "temperature", "kappa")
 
@@ -83,8 +84,8 @@ _REQUIRED = {
 }
 
 
-@dataclass(frozen=True)
-class SimulationSettings:
+@checked
+class SimulationSettings(NamedTuple):
     """Transfer-run parameters; rates are angular (rad/s)."""
 
     g_c: float | None = None
@@ -95,7 +96,7 @@ class SimulationSettings:
     mode_frequency: float = TWO_PI * 5e9
     duration: float | None = None       # s
 
-    def __post_init__(self):
+    def _check(self):
         if self.duration is not None and self.duration < 0:
             raise ValueError("duration_s must be nonnegative")
         if self.temperature < 0:
@@ -104,8 +105,7 @@ class SimulationSettings:
             raise ValueError("mode_frequency_hz must be positive")
 
 
-@dataclass(frozen=True)
-class SweepSettings:
+class SweepSettings(NamedTuple):
     variable: str
     start: float
     stop: float
@@ -122,15 +122,28 @@ class SweepSettings:
         return [self.start + step * i for i in range(self.points)]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
+    """A parsed config document; equality and hashing ignore ``config_hash``."""
+
     geometry: MembraneGeometry
     environment: ElectrostaticEnvironment
     inductance: float
     emitter: EmitterParams
     simulation: SimulationSettings
     sweep: SweepSettings | None
-    config_hash: str = field(default="", compare=False)
+    config_hash: str = ""
+
+    def __eq__(self, other):
+        if not isinstance(other, ExperimentConfig):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
 def _get_float(section, key, getter):

@@ -18,7 +18,7 @@ coupling g_c from the config rather than from a drive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import (
     HBAR,
@@ -28,6 +28,7 @@ from .constants import (
     wavelength_to_angular_frequency,
 )
 from .mechanics import ElectrostaticEnvironment, MembraneGeometry, OperatingPoint
+from .records import checked
 
 #: measured ZPL strain response of emitters in h-BN spans -3..+6 meV/%;
 #: only the magnitude enters the coupling rates
@@ -40,8 +41,8 @@ DEFAULT_ZPL_WAVELENGTH = 600e-9
 DEFAULT_OPTICAL_DECAY_HZ = 53e6   # 3 ns excited-state lifetime
 
 
-@dataclass(frozen=True)
-class EmitterParams:
+@checked
+class EmitterParams(NamedTuple):
     """Optical transition and response coefficients of the emitter."""
 
     zpl_frequency: float = wavelength_to_angular_frequency(DEFAULT_ZPL_WAVELENGTH)
@@ -53,7 +54,7 @@ class EmitterParams:
         DEFAULT_STARK_SHIFT_MEV_PER_V_PER_M
     )                                                   # rad/s per (V/m)
 
-    def __post_init__(self):
+    def _check(self):
         if not self.zpl_frequency > 0:
             raise ValueError("zpl_frequency must be positive")
         if not self.optical_decay > 0:
@@ -108,7 +109,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError("temperature must be nonnegative")
     if temperature == 0.0:
         return 0.0
-    x = HBAR * omega / (K_B * temperature)
+    k_t = K_B * temperature
+    # k_B T underflows to 0 below about 1e-301 K; the ratio is then formed in another order
+    x = HBAR * omega / k_t if k_t else HBAR / K_B * omega / temperature
     if x > 700.0:  # exp would overflow; occupation is far below double precision
         return 0.0
     if x == 0.0:  # hbar w underflows; the occupation is beyond every float

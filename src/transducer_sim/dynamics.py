@@ -51,12 +51,12 @@ standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import TWO_PI
 from .coupling import thermal_occupation
 from .errors import ConfigError, StepSizeError
+from .records import checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,8 +93,8 @@ _BLOCK = 16
 _CHUNK = 64
 
 
-@dataclass(frozen=True)
-class TransferSystem:
+@checked
+class TransferSystem(NamedTuple):
     """Immutable generator of the open-system transfer dynamics.
 
     All rates are the effective (thermally enhanced) ones actually
@@ -110,7 +110,7 @@ class TransferSystem:
     mode_spacing: float  # rad/s, detuning step of the photon comb
     mode_count: int
 
-    def __post_init__(self):
+    def _check(self):
         rates = (self.g_om, self.g_em, self.kappa, self.gamma_m, self.gamma_lc)
         if not all(map(math.isfinite, rates)):
             raise ConfigError(
@@ -417,8 +417,7 @@ def _read_chunk(chunk, norms, form, picked, times):
     return np.column_stack((times, p, p.sum(axis=1) + fidelity, fidelity))
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Sampled populations of one integration run."""
 
     times: np.ndarray        # s

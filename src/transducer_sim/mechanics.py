@@ -20,10 +20,11 @@ in ``_hz``.  Deflections are positive toward the bottom electrode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import EPSILON_0, HBAR, TWO_PI
 from .errors import PullInError
+from .records import checked
 
 #: volumetric mass density assumed for the stack when none is given
 #: (kg/m^3, graphite-like)
@@ -55,8 +56,8 @@ _TENSION_FREQUENCY_COEFF = 0.57
 _NEWTON_TOLERANCE = 2.0 ** -40
 
 
-@dataclass(frozen=True)
-class MembraneGeometry:
+@checked
+class MembraneGeometry(NamedTuple):
     """Dimensions and material constants of the suspended membrane."""
 
     length: float                # m, span between the clamps
@@ -68,7 +69,7 @@ class MembraneGeometry:
     clamping_coefficient: float = DEFAULT_CLAMPING_COEFFICIENT
     mode_mass_fraction: float = DEFAULT_MODE_MASS_FRACTION
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("length", "width", "thickness", "youngs_modulus", "density"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -90,22 +91,21 @@ class MembraneGeometry:
         return self.mode_mass_fraction * self.mass
 
 
-@dataclass(frozen=True)
-class ElectrostaticEnvironment:
+@checked
+class ElectrostaticEnvironment(NamedTuple):
     """Bottom-electrode gap and the DC bias applied across it."""
 
     gap: float            # m, undeflected membrane-to-electrode distance
     bias_voltage: float   # V
 
-    def __post_init__(self):
+    def _check(self):
         if not self.gap > 0:
             raise ValueError("gap must be positive")
         if self.bias_voltage < 0:
             raise ValueError("bias_voltage must be nonnegative")
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(NamedTuple):
     """Solved static state of the biased membrane."""
 
     deflection: float       # m, midpoint displacement toward the electrode

@@ -12,7 +12,6 @@ header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 from . import circuit as circuit_mod
 from . import dynamics, mechanics
@@ -31,13 +30,13 @@ STATUS_NOT_REACHED = "not_reached"
 STATUS_UNSTABLE = "unstable"
 
 
-@dataclass
 class ResultTable:
     """Column-labelled numeric results with a provenance header."""
 
-    columns: list          # (name, unit) pairs
-    rows: list             # tuples, floats plus a trailing status string
-    meta: dict = field(default_factory=dict)
+    def __init__(self, columns: list, rows: list, meta: dict | None = None):
+        self.columns = columns      # (name, unit) pairs
+        self.rows = rows            # tuples, floats plus a trailing status string
+        self.meta = {} if meta is None else meta
 
     def to_csv_text(self) -> str:
         lines = [f"# transducer-sim results, schema v{SCHEMA_VERSION}"]
@@ -107,7 +106,7 @@ def run_mechanics_sweep(config: ExperimentConfig) -> ResultTable:
     def one(value):
         geom, env = config.geometry, config.environment
         if variable == "thickness":
-            geom = replace(geom, thickness=value)
+            geom = geom._replace(thickness=value)
         else:
             env = mechanics.ElectrostaticEnvironment(gap=env.gap, bias_voltage=value)
         try:

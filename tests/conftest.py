@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +11,10 @@ TWO_PI = 2.0 * math.pi
 def on_comb(system, spacing_hz, count):
     """``system`` on a photon comb of ``count`` modes ``spacing_hz`` apart.
 
-    ``dataclasses.replace`` builds a new system, so every check of
+    ``_replace`` builds a new system, so every check of
     ``TransferSystem`` runs on the new comb.
     """
-    return dataclasses.replace(
-        system, mode_spacing=TWO_PI * spacing_hz, mode_count=count
-    )
+    return system._replace(mode_spacing=TWO_PI * spacing_hz, mode_count=count)
 
 
 def pin_comb(monkeypatch, spacing_hz=1e6, count=500):

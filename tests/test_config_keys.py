@@ -13,7 +13,9 @@ default it gives is the one a document that leaves the key out gets.
 Every number key is also set, one at a time, to values across the float
 range (zero, negatives, the extremes, nan and inf) in a document of each
 command: the CLI exits 0, 2 or 3, never with a traceback, and a run that
-succeeds writes only known statuses and finite ``ok`` rows.
+succeeds writes only known statuses and finite ``ok`` rows.  A Hypothesis
+property makes the same claims for several keys set at once, with values
+across orders of magnitude and signs, and a drawn sweep.
 """
 
 import math
@@ -21,9 +23,12 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from transducer_sim import ConfigError, StepSizeError, dynamics, runner
 from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, main
-from transducer_sim.config import _SCHEMA, parse_config
+from transducer_sim.config import _SCHEMA, SWEEP_VARIABLES, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -232,3 +237,111 @@ def test_every_key_grid_exit_codes(tmp_path, name):
             if fault:
                 faults.append(f"[{section}] {key} = {value}: {fault}")
     assert not faults, "\n".join(faults)
+
+
+#: values of any number key that no factor reaches
+SPECIAL_VALUES = (
+    "0", "-0", "nan", "inf", "-inf", "5e-324", "1e-300", "-1e300", "1.7976931348623157e308",
+)
+
+#: a number key's value over a typical one: 1..10 x 10^k over 24 decades,
+#: three quarters positive
+FACTORS = st.builds(
+    lambda sign, mantissa, k: sign * mantissa * 10.0 ** k,
+    st.sampled_from((1.0, 1.0, 1.0, -1.0)),
+    st.floats(1.0, 10.0),
+    st.integers(-12, 12),
+)
+
+#: a factor two times in three, so that many runs pass the parser, else a special value
+VALUES = st.one_of(FACTORS, FACTORS, st.sampled_from(SPECIAL_VALUES))
+
+#: a typical value of each sweep variable, in the document's unit
+SWEEP_SCALES = {
+    "thickness": 1e-9,
+    "bias_voltage": 1.0,
+    "displacement": 1e-9,
+    "temperature": 0.1,
+    "kappa": 50e6,
+}
+
+SWEEPS = st.tuples(
+    st.sampled_from(SWEEP_VARIABLES),
+    VALUES,
+    VALUES,
+    st.integers(1, 5),
+    st.sampled_from(("linear", "log")),
+)
+
+#: most (steps + power-table rows) x modes that one drawn run may plan,
+#: about 20 ms of stepping
+WORK_BUDGET = 2e6
+
+
+def written(value, scale):
+    """A drawn value as a document writes it: a factor times ``scale``."""
+    return value if isinstance(value, str) else repr(value * scale)
+
+
+@st.composite
+def documents(draw, text):
+    """``text`` with one to four number keys drawn, and on a sweep document
+    perhaps a drawn sweep."""
+    defaults = readme_schema()
+    keys = draw(st.lists(st.sampled_from(GRID_KEYS), min_size=1, max_size=4, unique=True))
+    for section, key in keys:
+        found = re.search(rf"^{key} = (.*)$", text, re.MULTILINE)
+        typical = float(found.group(1) if found else defaults[section].get(key) or 1.0) or 1.0
+        text = with_key(text, section, key, written(draw(VALUES), typical))
+    if "[sweep]" in text and draw(st.booleans()):
+        variable, start, stop, points, spacing = draw(SWEEPS)
+        scale = SWEEP_SCALES[variable]
+        for key, value in (
+            ("variable", variable),
+            ("start", written(start, scale)),
+            ("stop", written(stop, scale)),
+            ("points", points),
+            ("spacing", spacing),
+        ):
+            text = with_key(text, "sweep", key, value)
+    return text
+
+
+def planned_work(command, text):
+    """(steps + power-table rows) x modes of the run's trajectories, up to the
+    first one the run refuses; 0 for a statics run."""
+    work = 0
+    if command not in ("transfer", "scan"):
+        return work
+    try:
+        config = parse_config(text)
+        sim = config.simulation
+        points = []
+        if command == "transfer":
+            points = [(sim.g_c, sim.kappa, sim.temperature)]
+        elif config.sweep.variable == "temperature":
+            points = [(sim.g_c, sim.kappa, value) for value in config.sweep.values()]
+        elif config.sweep.variable == "kappa":
+            kappas = [2 * math.pi * value for value in config.sweep.values()]
+            points = [(kappa, kappa, sim.temperature) for kappa in kappas]
+        for point in points:
+            system = runner._build_system(config, *point)
+            steps = dynamics.step_plan(system, sim.duration)[0]
+            work += (steps + 2 * dynamics._BLOCK + 1) * system.mode_count
+    except (ConfigError, StepSizeError, TypeError):
+        pass  # the run refuses this point before it steps (TypeError: g_c_hz or duration_s unset)
+    return work
+
+
+@pytest.mark.parametrize("name", sorted(GRID_DOCUMENTS))
+def test_config_surface_property(tmp_path, name):
+    command, text = GRID_DOCUMENTS[name]
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(documents(text))
+    def check(document):
+        assume(planned_work(command, document) <= WORK_BUDGET)
+        fault = grid_fault(tmp_path, command, document)
+        assert fault is None, f"{fault}\n{document}"
+
+    check()

@@ -4,9 +4,10 @@
 run imports scipy.  The literals must be the very floats
 ``scipy.constants`` gives, or every output row would move.
 ``import transducer_sim`` and the statics runs (``mechanics``,
-``couplings``) load only the standard library; numpy is imported when a
-trajectory is built.  These tests read the package in a fresh process,
-because this test process has scipy and numpy loaded already.
+``couplings``) load only the standard library, and of it neither
+``dataclasses`` nor ``inspect``; numpy is imported when a trajectory is
+built.  These tests read the package in a fresh process, because this
+test process has scipy and numpy loaded already.
 """
 
 import json
@@ -42,13 +43,18 @@ CLI_RUNS = """
 import json, sys
 src, runs = sys.argv[1:]
 sys.path.insert(0, src)
+SLOW = ("dataclasses", "inspect")
 import transducer_sim
 from transducer_sim import cli
 codes, numpy = [], []
+slow = [[m for m in SLOW if m in sys.modules]]
 for argv in json.loads(runs):
     codes.append(cli.main(argv))
     numpy.append("numpy" in sys.modules)
-print(json.dumps({"codes": codes, "numpy": numpy, "scipy": "scipy" in sys.modules}))
+    slow.append([m for m in SLOW if m in sys.modules])
+print(json.dumps({
+    "codes": codes, "numpy": numpy, "slow": slow, "scipy": "scipy" in sys.modules,
+}))
 """
 
 
@@ -98,3 +104,11 @@ def test_statics_runs_without_numpy(tmp_path):
     report = _run(CLI_RUNS, json.dumps(_cli_runs(tmp_path)))
     assert report["codes"] == [0, 0, 0, 0]
     assert report["numpy"] == [False, False, True, True]
+
+
+def test_statics_runs_without_dataclasses_or_inspect(tmp_path):
+    # set-up and the statics runs build their records without either module,
+    # each of which takes milliseconds to import
+    report = _run(CLI_RUNS, json.dumps(_cli_runs(tmp_path)))
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["slow"][:3] == [[], [], []]

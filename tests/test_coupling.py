@@ -129,6 +129,14 @@ class TestThermalOccupation:
         # beyond every float, and 1 / expm1(0) would divide by zero
         assert thermal_occupation(1e-300, 0.05) == math.inf
 
+    def test_underflowing_temperature(self):
+        # k_B T underflows to 0 at 5e-324 K, where 1 / (k_B T) would divide by
+        # zero; a 5 GHz quantum is then far above it
+        assert thermal_occupation(TWO_PI * 5e9, 5e-324) == 0.0
+        # hbar w and k_B T both underflow here, but their ratio is ~7.6e-10
+        x = HBAR / K_B * 1e-300 / 1e-302
+        assert thermal_occupation(1e-300, 1e-302) == pytest.approx(1.0 / math.expm1(x))
+
     def test_classical_limit(self):
         # kB T / (hbar w) = 20: Bose occupation within 5% of equipartition
         omega = TWO_PI * 5e9

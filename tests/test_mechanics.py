@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +26,7 @@ from conftest import TWO_PI, documented_stiffness, reference_fold, reference_roo
 
 
 def replace_geometry(geom, **kwargs):
-    return dataclasses.replace(geom, **kwargs)
+    return geom._replace(**kwargs)
 
 
 class TestFlexuralFrequency:
