@@ -33,13 +33,12 @@ from .dynamics import (
     integrate,
     make_transfer_system,
 )
-from .errors import ConfigError, PullInError, StepSizeError, TuningError
+from .errors import ConfigError, PullInError, TuningError
 from .mechanics import (
     ElectrostaticEnvironment,
     MembraneGeometry,
     OperatingPoint,
     elastic_force,
-    electrostatic_force,
     flexural_frequency,
     induced_tension,
     net_stiffness,

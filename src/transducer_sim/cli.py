@@ -8,13 +8,9 @@
 The CSV goes to the ``--out`` file, or to stdout without one.
 
 Exit codes: 0 success, 2 configuration errors (including a config file
-that cannot be read or decoded, and an output path that cannot be
-written), 3 physics errors that no status flag can carry: a trajectory
-that would take more than ``dynamics.MAX_STEPS`` steps, or a pull-in or
-tuning failure that a run does not flag.  No config document reaches
-exit 3 today: every statics run is a sweep that flags pull-in and tuning
-per row, and on the comb derived from the rates a trajectory short of
-its revival plans at most about 7.0e7 steps.
+that cannot be read or decoded, an output path that cannot be written,
+and a trajectory that would take more than ``dynamics.MAX_STEPS``
+steps).  Pull-in and tuning failures are flagged per row of a sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import functools
 import sys
 
 from .config import parse_config
-from .errors import ConfigError, PullInError, StepSizeError, TuningError
+from .errors import ConfigError
 from .runner import (
     run_coupling_sweep,
     run_environment_scan,
@@ -41,7 +37,6 @@ _COMMANDS = {
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_PHYSICS = 3
 
 
 @functools.cache
@@ -82,9 +77,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PullInError, TuningError, StepSizeError) as exc:
-        print(f"physics error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
 
     if args.out:
         try:

@@ -6,10 +6,10 @@ loudly.  ``_SCHEMA`` maps each key to a field of its section's record and
 to the conversion from the document's unit (frequencies in Hz become
 angular rates).  Defaults and ranges live in the records
 (``MembraneGeometry``, ``ElectrostaticEnvironment``, ``EmitterParams``,
-``SimulationSettings``): a key left out takes its field's default, and a
-value that the record's ``_check`` or the conversion refuses is a
-``ConfigError`` naming the section, raised here rather than inside a run.
-The ``[sweep]`` keys are read one by one: their checks depend on one another.
+``SimulationSettings``, ``SweepSettings``): a key left out takes its
+field's default, and a value that the record's ``_check`` or the
+conversion refuses is a ``ConfigError`` naming the section, raised here
+rather than inside a run.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ def _hz(value):
 
 
 #: section -> key -> (field of the section's record, conversion from the
-#: document's unit); the [sweep] keys are read one by one in ``parse_config``
+#: document's unit); a ``str`` key keeps its text and an ``int`` key is an
+#: integer, every other key is a finite number
 _SCHEMA = {
     "geometry": {
         "length_m": ("length", float),
@@ -75,12 +76,20 @@ _SCHEMA = {
         "mode_frequency_hz": ("mode_frequency", _hz),
         "duration_s": ("duration", float),
     },
-    "sweep": dict.fromkeys(("variable", "start", "stop", "points", "spacing")),
+    "sweep": {
+        "variable": ("variable", str),
+        "start": ("start", float),
+        "stop": ("stop", float),
+        "points": ("points", int),
+        "spacing": ("spacing", str),
+    },
 }
 
+#: keys that a section must give when it is present; [sweep] may be left out
 _REQUIRED = {
     "geometry": ("length_m", "width_m", "thickness_m", "youngs_modulus_pa"),
     "circuit": ("gap_m", "bias_voltage_v"),
+    "sweep": ("variable", "start", "stop", "points"),
 }
 
 
@@ -105,12 +114,53 @@ class SimulationSettings(NamedTuple):
             raise ValueError("mode_frequency_hz must be positive")
 
 
+@checked
 class SweepSettings(NamedTuple):
+    """One swept variable and its points, in the variable's SI unit."""
+
     variable: str
     start: float
     stop: float
     points: int
     spacing: str = "linear"
+
+    def _check(self):
+        if self.variable not in SWEEP_VARIABLES:
+            raise ValueError(
+                f"unknown sweep variable {self.variable!r}; "
+                f"expected one of {', '.join(SWEEP_VARIABLES)}"
+            )
+        # nan slips through every comparison below, and inf gives nan points
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("start and stop must be finite")
+        if self.points < 1:
+            raise ValueError("points must be >= 1")
+        if self.points > MAX_SWEEP_POINTS:
+            raise ValueError(f"points must be <= {MAX_SWEEP_POINTS}")
+        if self.start > self.stop:
+            raise ValueError("range must be ordered (start <= stop)")
+        # every sweep variable is a nonnegative quantity, and a thickness is positive
+        if self.variable == "thickness" and not self.start > 0:
+            raise ValueError("a thickness sweep must start above 0")
+        if self.start < 0:
+            raise ValueError(f"a {self.variable} sweep must start at 0 or above")
+        if self.spacing not in ("linear", "log"):
+            raise ValueError("spacing must be 'linear' or 'log'")
+        if self.spacing == "log" and self.start <= 0:
+            raise ValueError("log spacing needs a positive start")
+        if self.spacing == "log" and self.points > 1:
+            # the top point as ``values`` builds it, without building the list:
+            # stop / start can overflow, and so can its power near the top of
+            # the float range
+            n = self.points - 1
+            try:
+                top = self.start * ((self.stop / self.start) ** (1.0 / n)) ** n
+            except OverflowError:
+                top = math.inf
+            if not math.isfinite(top):
+                raise ValueError(
+                    f"the log range {self.start:g} to {self.stop:g} overflows"
+                )
 
     def values(self):
         if self.points == 1:
@@ -146,28 +196,20 @@ class ExperimentConfig(NamedTuple):
         return hash(self[:-1])
 
 
-def _get_float(section, key, getter):
-    raw = getter(section, key, fallback=None)
-    if raw is None:
-        raise ConfigError("missing required field", section, key)
+def _value(section, key, raw, convert):
+    """``convert`` of what ``raw`` writes: the text of a ``str`` key, the
+    integer of an ``int`` key, else a finite number."""
+    if convert is str:
+        return raw
+    parse, kind = (int, "an integer") if convert is int else (float, "a number")
     try:
-        value = float(raw)
+        value = parse(raw)
     except ValueError:
-        raise ConfigError(f"not a number: {raw!r}", section, key) from None
+        raise ConfigError(f"not {kind}: {raw!r}", section, key) from None
     # nan slips through every range check written as a comparison
-    if not math.isfinite(value):
+    if parse is float and not math.isfinite(value):
         raise ConfigError(f"not a finite number: {raw!r}", section, key)
-    return value
-
-
-def _get_int(section, key, getter):
-    raw = getter(section, key, fallback=None)
-    if raw is None:
-        raise ConfigError("missing required field", section, key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"not an integer: {raw!r}", section, key) from None
+    return convert(value)
 
 
 def _circuit(gap, bias_voltage, inductance=DEFAULT_INDUCTANCE):
@@ -186,7 +228,9 @@ def _record(make, cp, section):
     try:
         for key, (name, convert) in _SCHEMA[section].items():
             if cp.has_option(section, key):
-                fields[name] = convert(_get_float(section, key, cp.get))
+                fields[name] = _value(section, key, cp.get(section, key), convert)
+            elif key in _REQUIRED.get(section, ()):
+                raise ConfigError("missing required field", section, key)
         return make(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc), section) from None
@@ -213,59 +257,16 @@ def parse_config(text: str) -> ExperimentConfig:
         for key in cp[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError("unknown key", section, key)
-    for section, keys in _REQUIRED.items():
+    for section in ("geometry", "circuit"):
         if not cp.has_section(section):
             raise ConfigError("missing required section", section)
-        for key in keys:
-            if not cp.has_option(section, key):
-                raise ConfigError("missing required field", section, key)
 
     geometry = _record(MembraneGeometry, cp, "geometry")
     environment, inductance = _record(_circuit, cp, "circuit")
     emitter = _record(EmitterParams, cp, "emitter")
     simulation = _record(SimulationSettings, cp, "simulation")
 
-    get = cp.get
-    sweep = None
-    if cp.has_section("sweep"):
-        variable = get("sweep", "variable", fallback=None)
-        if variable is None:
-            raise ConfigError("missing required field", "sweep", "variable")
-        if variable not in SWEEP_VARIABLES:
-            raise ConfigError(
-                f"unknown sweep variable {variable!r}; "
-                f"expected one of {', '.join(SWEEP_VARIABLES)}",
-                "sweep",
-            )
-        start = _get_float("sweep", "start", get)
-        stop = _get_float("sweep", "stop", get)
-        points = _get_int("sweep", "points", get)
-        if points < 1:
-            raise ConfigError("points must be >= 1", "sweep")
-        if points > MAX_SWEEP_POINTS:
-            raise ConfigError(f"points must be <= {MAX_SWEEP_POINTS}", "sweep", "points")
-        if start > stop:
-            raise ConfigError("range must be ordered (start <= stop)", "sweep")
-        # every sweep variable is a nonnegative quantity, and a thickness is positive
-        if variable == "thickness" and not start > 0:
-            raise ConfigError("a thickness sweep must start above 0", "sweep", "start")
-        if start < 0:
-            raise ConfigError(f"a {variable} sweep must start at 0 or above", "sweep", "start")
-        spacing = get("sweep", "spacing", fallback="linear")
-        if spacing not in ("linear", "log"):
-            raise ConfigError("spacing must be 'linear' or 'log'", "sweep")
-        if spacing == "log" and start <= 0:
-            raise ConfigError("log spacing needs a positive start", "sweep")
-        if spacing == "log" and points > 1:
-            # the top point as ``SweepSettings.values`` builds it: stop / start can
-            # overflow, and so can its power near the top of the float range
-            try:
-                top = start * ((stop / start) ** (1.0 / (points - 1))) ** (points - 1)
-            except OverflowError:
-                top = math.inf
-            if not math.isfinite(top):
-                raise ConfigError(f"the log range {start:g} to {stop:g} overflows", "sweep")
-        sweep = SweepSettings(variable, start, stop, points, spacing)
+    sweep = _record(SweepSettings, cp, "sweep") if cp.has_section("sweep") else None
 
     return ExperimentConfig(
         geometry, environment, inductance, emitter, simulation, sweep,

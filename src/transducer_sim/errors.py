@@ -24,9 +24,3 @@ class ConfigError(Exception):
         super().__init__(loc + message)
         self.section = section
         self.key = key
-
-
-class StepSizeError(Exception):
-    """A trajectory's step plan cannot be run: a step that is not positive,
-    or more steps than ``dynamics.MAX_STEPS``."""
-

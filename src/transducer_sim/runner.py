@@ -71,10 +71,7 @@ def _require_sweep(config: ExperimentConfig, allowed):
         raise ConfigError(
             f"sweep variable must be one of {', '.join(allowed)}", "sweep", "variable"
         )
-    values = config.sweep.values()
-    if not values:
-        raise ConfigError("sweep range is empty", "sweep")
-    return values
+    return config.sweep.values()
 
 
 def _statics_rows(variable: str, values, one) -> list:

@@ -11,7 +11,6 @@ from scipy.sparse.linalg import expm_multiply
 
 from transducer_sim import (
     ConfigError,
-    StepSizeError,
     TransferSystem,
     default_discretization,
     default_timestep,
@@ -273,7 +272,7 @@ class TestStep:
         dt = default_timestep(system)
         assert dt == 2.0 ** -40
         assert step_plan(system, dt * MAX_STEPS) == (MAX_STEPS, dt)
-        with pytest.raises(StepSizeError, match="steps"):
+        with pytest.raises(ConfigError, match="steps"):
             step_plan(system, dt * (MAX_STEPS + 1))
 
     def test_comb_rotation_is_exact(self):

@@ -16,7 +16,7 @@ from transducer_sim import (
     run_mechanics_sweep,
     run_transfer,
 )
-from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, _build_parser, main
+from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, _build_parser, main
 from transducer_sim.config import _SCHEMA, MAX_SWEEP_POINTS
 
 from conftest import TWO_PI, pin_comb
@@ -490,7 +490,7 @@ class TestCli:
         cfg.write_text(text)
         assert main(["transfer", "--config", str(cfg)]) == EXIT_CONFIG
 
-    def test_oversized_step_plan_exits_3(self, tmp_path, monkeypatch, capsys):
+    def test_oversized_step_plan_exits_2(self, tmp_path, monkeypatch, capsys):
         # the step guard refuses a plan before any step is taken, in a
         # transfer and in a scan; on the comb derived from the rates a
         # trajectory short of its revival stays below 1e8 steps, so the
@@ -501,13 +501,22 @@ class TestCli:
         def no_steps(*args):
             raise AssertionError("a step was taken")
 
-        monkeypatch.setattr(dynamics, "_advance", no_steps)
-        for command, name in (("transfer", "paper_defaults.ini"), ("scan", "scan_kappa.ini")):
-            cfg, out = tmp_path / name, tmp_path / f"{command}.csv"
-            cfg.write_text(read_config(name))
-            assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_PHYSICS
-            assert "more than 1e+02 steps" in capsys.readouterr().err
-            assert not out.exists()
+        with monkeypatch.context() as steps_barred:
+            steps_barred.setattr(dynamics, "_advance", no_steps)
+            for command, name in (("transfer", "paper_defaults.ini"), ("scan", "scan_kappa.ini")):
+                cfg, out = tmp_path / name, tmp_path / f"{command}.csv"
+                cfg.write_text(read_config(name))
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+                assert "more than 1e+02 steps" in capsys.readouterr().err
+                assert not out.exists()
+        # the guard's edge: 1570 steps refuse the benchmark trajectory, 1571 run it
+        cfg = tmp_path / "paper_defaults.ini"
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 1570)
+        assert main(["transfer", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "more than 2e+03 steps" in err
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 1571)
+        assert main(["transfer", "--config", str(cfg)]) == EXIT_OK
 
     @pytest.mark.parametrize("duration", ["5e-6", "1"])
     def test_duration_past_revival_exits_2(self, tmp_path, capsys, duration):
@@ -522,17 +531,6 @@ class TestCli:
         assert main(["transfer", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert "runs into the discretization revival" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_physics_error_exits_3(self, tmp_path, monkeypatch, capsys):
-        # a step plan beyond MAX_STEPS is a physics-level refusal; the
-        # benchmark trajectory plans 1571 steps
-        monkeypatch.setattr(dynamics, "MAX_STEPS", 1570)
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text(read_config("paper_defaults.ini"))
-        assert main(["transfer", "--config", str(cfg)]) == EXIT_PHYSICS
-        assert "physics error" in capsys.readouterr().err
-        monkeypatch.setattr(dynamics, "MAX_STEPS", 1571)
-        assert main(["transfer", "--config", str(cfg)]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "line",
@@ -631,7 +629,7 @@ class TestCli:
         cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
         cfg.write_text(text.replace(f"{key} = {RATE_KEYS[key]}", f"{key} = {value}"))
         code = main(["transfer", "--config", str(cfg), "--out", str(out)])
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS)
+        assert code in (EXIT_OK, EXIT_CONFIG)
         if code == EXIT_OK:
             lines = [line for line in out.read_text().splitlines() if line[0] != "#"]
             rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
@@ -648,7 +646,7 @@ class TestCli:
         cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
         cfg.write_text(set_key(read_config(name), section, key, value))
         code = main([command, "--config", str(cfg), "--out", str(out)])
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS)
+        assert code in (EXIT_OK, EXIT_CONFIG)
         if code == EXIT_OK:
             lines = [line for line in out.read_text().splitlines() if line[0] != "#"]
             rows = [line.split(",") for line in lines[1:]]

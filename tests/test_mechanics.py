@@ -11,7 +11,6 @@ from transducer_sim import (
     MembraneGeometry,
     PullInError,
     elastic_force,
-    electrostatic_force,
     flexural_frequency,
     induced_tension,
     net_stiffness,
@@ -20,7 +19,7 @@ from transducer_sim import (
     zero_point_amplitude,
 )
 
-from transducer_sim.mechanics import _stable_root, bias_for_deflection
+from transducer_sim.mechanics import _stable_root, bias_for_deflection, electrostatic_force
 
 from conftest import TWO_PI, documented_stiffness, reference_fold, reference_root
 

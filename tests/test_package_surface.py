@@ -16,7 +16,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "transducer_sim"
 UNUSED_BY_DESIGN = {
     "cooperativity": "waits for the end-to-end device run to wire it in",
     "effective_optomechanical_coupling": "waits for the end-to-end device run to wire it in",
-    "electrostatic_force": "the tests' force-balance reference",
 }
 
 
