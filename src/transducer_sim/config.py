@@ -31,7 +31,11 @@ from .errors import ConfigError
 from .mechanics import ElectrostaticEnvironment, MembraneGeometry
 from .records import checked
 
-SWEEP_VARIABLES = ("thickness", "bias_voltage", "displacement", "temperature", "kappa")
+#: sweep variable -> the SI unit of its values
+SWEEP_UNITS = dict(
+    thickness="m", bias_voltage="V", displacement="m", temperature="K", kappa="Hz"
+)
+SWEEP_VARIABLES = tuple(SWEEP_UNITS)
 
 #: most points one sweep may hold; its values are built as one list
 MAX_SWEEP_POINTS = 10 ** 6

@@ -1,12 +1,15 @@
 """Experiment runner: parameter sweeps and trajectory runs over the physics modules.
 
 Each run function takes a parsed :class:`ExperimentConfig` and returns a
-:class:`ResultTable` with one row per sweep point, in sweep order.  Rows
-where the physics refuses (pull-in, tuning, unstable equilibrium,
-threshold not reached) are flagged in a status column instead of aborting
-the sweep; a statics point that leaves the float range is a config error.
-Trajectory runs write their step plan and photon comb into the provenance
-header.
+:class:`ResultTable` with one row per sweep point, in sweep order.  Every
+sweep is built by one table helper, ``_sweep_table``, and every statics
+point by one path from a sweep value to the device, ``_operating_point``
+(thickness, bias or displacement), then ``_coupling_rates``; so
+``mechanics`` and ``couplings`` give a bias the same verdict.  Rows where
+the physics refuses (pull-in, tuning, unstable equilibrium, threshold not
+reached) are flagged in a status column instead of aborting the sweep; a
+statics point that leaves the float range is a config error.  Trajectory
+runs write their step plan and photon comb into the provenance header.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 
 from . import circuit as circuit_mod
 from . import dynamics, mechanics
-from .config import ExperimentConfig
+from .config import SWEEP_UNITS, ExperimentConfig
 from .constants import TWO_PI
 from .coupling import stark_coupling, strain_coupling
 from .errors import ConfigError, PullInError, TuningError
@@ -64,129 +67,133 @@ class ResultTable:
         return [row[idx[0]] for row in self.rows]
 
 
-def _require_sweep(config: ExperimentConfig, allowed):
-    if config.sweep is None:
-        raise ConfigError("this run needs a [sweep] section", "sweep")
-    if config.sweep.variable not in allowed:
-        raise ConfigError(
-            f"sweep variable must be one of {', '.join(allowed)}", "sweep", "variable"
-        )
-    return config.sweep.values()
+def _operating_point(config: ExperimentConfig, variable: str, value: float):
+    """``(geometry, environment, operating point)`` of the device at one sweep value.
 
-
-def _statics_rows(variable: str, values, one) -> list:
-    """``one(value)`` for each sweep value, in order.
-
-    A point whose statics leave the float range raises an
-    ``ArithmeticError``: an overflow, a division by an underflowed zero, or
-    the ``FloatingPointError`` of an operating point or a rate that is not
-    finite.  It is refused as a config error that names the point.
+    A thickness or bias point is solved for its equilibrium (``PullInError``
+    past pull-in).  A displacement point takes the bias that balances the
+    forces there; its operating point is None where that bias cannot hold
+    the sheet (unstable), and a displacement that reaches the electrode gap
+    is a ``ConfigError``.
     """
-    rows = []
-    for value in values:
+    geom, env = config.geometry, config.environment
+    if variable == "thickness":
+        geom = geom._replace(thickness=value)
+    elif variable == "bias_voltage":
+        env = mechanics.ElectrostaticEnvironment(gap=env.gap, bias_voltage=value)
+    else:
+        if value >= env.gap:
+            raise ConfigError("displacement sweep reaches the electrode gap", "sweep")
+        env = mechanics.ElectrostaticEnvironment(
+            gap=env.gap, bias_voltage=mechanics.bias_for_deflection(geom, env.gap, value)
+        )
+        if mechanics.net_stiffness(geom, env, value) <= 0.0:
+            return geom, env, None
+        return geom, env, mechanics.operating_point_at_deflection(geom, value)
+    return geom, env, mechanics.solve_equilibrium(geom, env)
+
+
+def _coupling_rates(config: ExperimentConfig, geom, env, op):
+    """Angular rates ``(g_em, g_om1, g_om2)`` (rad/s) at one operating point.
+
+    The circuit is matched to the mode; g_om1 is the strain and g_om2 the
+    Stark coupling of the emitter.  Raises ``TuningError`` where no
+    capacitor matches, and ``FloatingPointError`` where a rate is not finite.
+    """
+    circ = circuit_mod.matched_circuit(
+        geom, op, gap=env.gap, bias_voltage=env.bias_voltage, inductance=config.inductance
+    )
+    g_em = circuit_mod.electromechanical_coupling(op, circ, geom)
+    g_om1 = strain_coupling(op, geom, config.emitter)
+    g_om2 = stark_coupling(op, env, config.emitter)
+    if not (math.isfinite(g_em) and math.isfinite(g_om1) and math.isfinite(g_om2)):
+        raise FloatingPointError("coupling rates are not finite")
+    return g_em, g_om1, g_om2
+
+
+def _statics(row):
+    """``row(variable, value)`` as a statics sweep point.
+
+    Pull-in, tuning and unstable points (``row`` gives None) are NaN rows
+    with their status.  Statics that leave the float range raise an
+    ``ArithmeticError`` (an overflow, a division by an underflowed zero, an
+    operating point or rate that is not finite): a config error naming the point.
+    """
+
+    def one(variable, value):
         try:
-            rows.append(one(value))
+            result = row(variable, value)
+        except PullInError:
+            status = STATUS_PULL_IN
+        except TuningError:
+            status = STATUS_TUNING
         except ArithmeticError:
             raise ConfigError(
                 f"the statics at {variable} = {value:g} leave the float range; "
                 f"check the [geometry], [circuit] and [emitter] values"
             ) from None
-    return rows
+        else:
+            if result is not None:
+                return result
+            status = STATUS_UNSTABLE
+        return (value, math.nan, math.nan, math.nan, status)
+
+    return one
+
+
+def _sweep_table(config: ExperimentConfig, run: str, allowed, columns, row) -> ResultTable:
+    """``row(variable, value)`` for each point of the config's sweep, in order.
+
+    The sweep must be present and sweep one of ``allowed``.  The table's
+    columns are the swept variable in its unit, ``columns`` and the status.
+    """
+    sweep = config.sweep
+    if sweep is None:
+        raise ConfigError("this run needs a [sweep] section", "sweep")
+    variable = sweep.variable
+    if variable not in allowed:
+        raise ConfigError(
+            f"sweep variable must be one of {', '.join(allowed)}", "sweep", "variable"
+        )
+    return ResultTable(
+        columns=[(variable, SWEEP_UNITS[variable]), *columns, ("status", "-")],
+        rows=[row(variable, value) for value in sweep.values()],
+        meta={"config_sha256": config.config_hash, "run": run},
+    )
 
 
 def run_mechanics_sweep(config: ExperimentConfig) -> ResultTable:
     """Deflection, tension and mode frequency versus thickness or bias."""
-    values = _require_sweep(config, ("thickness", "bias_voltage"))
-    variable = config.sweep.variable
-    unit = "m" if variable == "thickness" else "V"
 
-    def one(value):
-        geom, env = config.geometry, config.environment
-        if variable == "thickness":
-            geom = geom._replace(thickness=value)
-        else:
-            env = mechanics.ElectrostaticEnvironment(gap=env.gap, bias_voltage=value)
-        try:
-            op = mechanics.solve_equilibrium(geom, env)
-        except PullInError:
-            return (value, math.nan, math.nan, math.nan, STATUS_PULL_IN)
-        return (
-            value,
-            op.deflection,
-            op.tension,
-            op.mech_frequency / TWO_PI,
-            STATUS_OK,
-        )
+    def row(variable, value):
+        op = _operating_point(config, variable, value)[2]
+        return (value, op.deflection, op.tension, op.mech_frequency / TWO_PI, STATUS_OK)
 
-    return ResultTable(
-        columns=[
-            (variable, unit),
-            ("deflection", "m"),
-            ("tension", "N"),
-            ("frequency", "Hz"),
-            ("status", "-"),
-        ],
-        rows=_statics_rows(variable, values, one),
-        meta={"config_sha256": config.config_hash, "run": "mechanics"},
+    return _sweep_table(
+        config,
+        "mechanics",
+        ("thickness", "bias_voltage"),
+        [("deflection", "m"), ("tension", "N"), ("frequency", "Hz")],
+        _statics(row),
     )
 
 
 def run_coupling_sweep(config: ExperimentConfig) -> ResultTable:
     """Electromechanical and both optomechanical rates versus bias or deflection."""
-    values = _require_sweep(config, ("bias_voltage", "displacement"))
-    variable = config.sweep.variable
-    unit = "V" if variable == "bias_voltage" else "m"
-    geom = config.geometry
 
-    def one(value):
-        try:
-            if variable == "bias_voltage":
-                env = mechanics.ElectrostaticEnvironment(
-                    gap=config.environment.gap, bias_voltage=value
-                )
-                op = mechanics.solve_equilibrium(geom, env)
-            else:
-                gap = config.environment.gap
-                if value >= gap:
-                    raise ConfigError(
-                        "displacement sweep reaches the electrode gap", "sweep"
-                    )
-                env = mechanics.ElectrostaticEnvironment(
-                    gap=gap,
-                    bias_voltage=mechanics.bias_for_deflection(geom, gap, value),
-                )
-                # the bias that balances the forces here cannot hold the sheet
-                if mechanics.net_stiffness(geom, env, value) <= 0.0:
-                    return (value, math.nan, math.nan, math.nan, STATUS_UNSTABLE)
-                op = mechanics.operating_point_at_deflection(geom, value)
-            circ = circuit_mod.matched_circuit(
-                geom,
-                op,
-                gap=env.gap,
-                bias_voltage=env.bias_voltage,
-                inductance=config.inductance,
-            )
-        except PullInError:
-            return (value, math.nan, math.nan, math.nan, STATUS_PULL_IN)
-        except TuningError:
-            return (value, math.nan, math.nan, math.nan, STATUS_TUNING)
-        g_em = circuit_mod.electromechanical_coupling(op, circ, geom)
-        g_om1 = strain_coupling(op, geom, config.emitter)
-        g_om2 = stark_coupling(op, env, config.emitter)
-        if not (math.isfinite(g_em) and math.isfinite(g_om1) and math.isfinite(g_om2)):
-            raise FloatingPointError("coupling rates are not finite")
+    def row(variable, value):
+        geom, env, op = _operating_point(config, variable, value)
+        if op is None:
+            return None
+        g_em, g_om1, g_om2 = _coupling_rates(config, geom, env, op)
         return (value, g_em / TWO_PI, g_om1 / TWO_PI, g_om2 / TWO_PI, STATUS_OK)
 
-    return ResultTable(
-        columns=[
-            (variable, unit),
-            ("g_em", "Hz"),
-            ("g_om1", "Hz"),
-            ("g_om2", "Hz"),
-            ("status", "-"),
-        ],
-        rows=_statics_rows(variable, values, one),
-        meta={"config_sha256": config.config_hash, "run": "couplings"},
+    return _sweep_table(
+        config,
+        "couplings",
+        ("bias_voltage", "displacement"),
+        [("g_em", "Hz"), ("g_om1", "Hz"), ("g_om2", "Hz")],
+        _statics(row),
     )
 
 
@@ -227,17 +234,6 @@ def run_transfer(config: ExperimentConfig) -> ResultTable:
     record = dynamics.integrate(
         system, sim.duration, record_every=max(1, info["steps"] // 500)
     )
-    rows = [
-        (
-            record.times[i],
-            record.p_emitter[i],
-            record.p_phonon[i],
-            record.p_circuit[i],
-            record.survival[i],
-            record.fidelity[i],
-        )
-        for i in range(len(record.times))
-    ]
     return ResultTable(
         columns=[
             ("time", "s"),
@@ -247,7 +243,7 @@ def run_transfer(config: ExperimentConfig) -> ResultTable:
             ("survival", "-"),
             ("fidelity", "-"),
         ],
-        rows=rows,
+        rows=list(zip(*record[:6])),
         meta={"config_sha256": config.config_hash, "run": "transfer", **info},
     )
 
@@ -258,45 +254,39 @@ def run_environment_scan(config: ExperimentConfig) -> ResultTable:
     Temperature scans hold g_c and kappa at their configured values; decay
     scans sweep kappa (in Hz) with the coupling slaved to it, g_c = kappa.
     """
-    values = _require_sweep(config, ("temperature", "kappa"))
-    variable = config.sweep.variable
     sim = config.simulation
-    if sim.duration is None:
-        raise ConfigError("missing required field", "simulation", "duration_s")
-    if variable == "temperature" and sim.g_c is None:
-        raise ConfigError("missing required field", "simulation", "g_c_hz")
-    unit = "K" if variable == "temperature" else "Hz"
+    infos = []
 
-    def one(value):
+    def row(variable, value):
+        # the run's own fields, checked after the sweep (at its first point)
+        if sim.duration is None:
+            raise ConfigError("missing required field", "simulation", "duration_s")
         if variable == "temperature":
+            if sim.g_c is None:
+                raise ConfigError("missing required field", "simulation", "g_c_hz")
             g_c, kappa, temperature = sim.g_c, sim.kappa, value
         else:
             kappa = TWO_PI * value
             g_c, temperature = kappa, sim.temperature
         system = _build_system(config, g_c, kappa, temperature)
-        info = _trajectory_info(system, sim.duration)
+        infos.append(_trajectory_info(system, sim.duration))
         record = dynamics.integrate(system, sim.duration, record_every=1)
         t95 = record.first_time(FIDELITY_THRESHOLD)
         status = STATUS_NOT_REACHED if math.isnan(t95) else STATUS_OK
-        row = (value, record.max_fidelity, float(record.survival[-1]), t95, status)
-        return row, info
+        return (value, record.max_fidelity, float(record.survival[-1]), t95, status)
 
-    rows, infos = zip(*[one(value) for value in values])
+    table = _sweep_table(
+        config,
+        "scan",
+        ("temperature", "kappa"),
+        [("max_fidelity", "-"), ("survival", "-"), ("time_to_f95", "s")],
+        row,
+    )
     # a field shared by every point is written once, else per point in order
-    info = {
+    table.meta.update({
         key: infos[0][key]
         if all(i[key] == infos[0][key] for i in infos)
         else ";".join(str(i[key]) for i in infos)
         for key in infos[0]
-    }
-    return ResultTable(
-        columns=[
-            (variable, unit),
-            ("max_fidelity", "-"),
-            ("survival", "-"),
-            ("time_to_f95", "s"),
-            ("status", "-"),
-        ],
-        rows=list(rows),
-        meta={"config_sha256": config.config_hash, "run": "scan", **info},
-    )
+    })
+    return table

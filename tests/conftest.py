@@ -41,6 +41,33 @@ def documented_stiffness(geom):
     return k1, k3
 
 
+def loaded(system):
+    """Amplitude vector with the microwave photon loaded: c3 = 1."""
+    y = np.zeros(system.size, dtype=complex)
+    y[2] = 1.0
+    return y
+
+
+def dense_generator(system):
+    """Independent dense form of the coefficient equations for oracle runs."""
+    n = system.mode_count + 3
+    kp = math.sqrt(system.kappa * system.mode_spacing / TWO_PI)
+    detunings = (np.arange(1, system.mode_count + 1) - system.mode_count / 2) * (
+        system.mode_spacing
+    )
+    m = np.zeros((n, n), dtype=complex)
+    m[0, 1] = -1j * system.g_om
+    m[0, 3:] = kp
+    m[1, 0] = -1j * system.g_om
+    m[1, 2] = -1j * system.g_em
+    m[1, 1] = -0.5 * system.gamma_m
+    m[2, 1] = -1j * system.g_em
+    m[2, 2] = -0.5 * system.gamma_lc
+    m[3:, 0] = -kp
+    m[np.arange(3, n), np.arange(3, n)] = -1j * detunings
+    return m
+
+
 def closed_generator(g_c):
     """3x3 lossless exchange Hamiltonian (rad/s) in the basis (|g,01>, |g,10>, |e,00>)."""
     return g_c * np.array(

@@ -45,7 +45,9 @@ from conftest import (
     closed_eigensystem,
     closed_evolution,
     closed_generator,
+    dense_generator,
     documented_stiffness,
+    loaded,
     on_comb,
 )
 
@@ -405,24 +407,7 @@ def test_criterion_8_property_suite(transfer_records):
         temperature=TEMPERATURE,
     )
     t_end = 50e-9
-    n = system.mode_count + 3
-    kp = math.sqrt(system.kappa * system.mode_spacing / TWO_PI)
-    detunings = (np.arange(1, system.mode_count + 1) - system.mode_count / 2) * (
-        system.mode_spacing
-    )
-    generator = np.zeros((n, n), dtype=complex)
-    generator[0, 1] = -1j * system.g_om
-    generator[0, 3:] = kp
-    generator[1, 0] = -1j * system.g_om
-    generator[1, 2] = -1j * system.g_em
-    generator[1, 1] = -0.5 * system.gamma_m
-    generator[2, 1] = -1j * system.g_em
-    generator[2, 2] = -0.5 * system.gamma_lc
-    generator[3:, 0] = -kp
-    generator[np.arange(3, n), np.arange(3, n)] = -1j * detunings
-    loaded = np.zeros(n, dtype=complex)
-    loaded[2] = 1.0  # the microwave photon
-    oracle = expm(generator * t_end) @ loaded
+    oracle = expm(dense_generator(system) * t_end) @ loaded(system)
     fixed_step = integrate(system, t_end).final_amplitudes
     deviation = float(np.max(np.abs(fixed_step - oracle)))
     checks.append(

@@ -313,6 +313,32 @@ class TestCouplingSweep:
         unstable = [r for r in table.rows if r[-1] == "unstable"]
         assert all(math.isnan(v) for r in unstable for v in r[1:4])
 
+    def test_displacement_at_gap_refused(self, tmp_path):
+        # no bias holds the sheet on the electrode, so the whole run is refused
+        text = MINIMAL + sweep("displacement", 0, 10e-9, 5)
+        with pytest.raises(ConfigError, match="electrode gap"):
+            run_coupling_sweep(parse_config(text))
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(text)
+        assert main(["couplings", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_displacement_below_gap_runs(self, tmp_path):
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(MINIMAL + sweep("displacement", 0, 9.999e-9, 12))
+        assert main(["couplings", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        statuses = [row.rsplit(",", 1)[1] for row in rows[1:]]
+        assert len(statuses) == 12
+        assert set(statuses) <= {"ok", "unstable"}
+
+    def test_mechanics_and_couplings_share_verdicts(self):
+        # both runs solve each bias through one operating-point path
+        config = parse_config(MINIMAL + sweep("bias_voltage", 0, 6, 25))
+        status = run_mechanics_sweep(config).column("status")
+        assert status == ["ok"] * 20 + ["pull_in"] * 5
+        assert run_coupling_sweep(config).column("status") == status
+
 
 class TestTransferRun:
     def test_zero_duration_single_row(self):
