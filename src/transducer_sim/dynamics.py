@@ -71,11 +71,11 @@ _DT_RATE_FRACTION = 0.03
 #: keep runs clear of the revival of the discretized photon comb
 _REVIVAL_SAFETY = 0.95
 
-#: most steps one run may plan; at ~8 us per step this is ~13 min.  On the
-#: comb that make_transfer_system derives, a run short of its revival plans
-#: at most about 7.0e7 steps (0.95 revival times g / 0.03 at the largest g
-#: that MAX_MODE_COUNT modes cover), so only a system built on its own comb
-#: reaches this
+#: most steps one run may plan; at ~5 us per step (500-2000 modes, 2-vCPU
+#: Xeon VM) this is ~8 min.  On the comb that make_transfer_system derives,
+#: a run short of its revival plans at most about 7.0e7 steps (0.95 revival
+#: times g / 0.03 at the largest g that MAX_MODE_COUNT modes cover), so
+#: only a system built on its own comb reaches this
 MAX_STEPS = 10 ** 8
 
 #: most photon modes one comb may hold; the power table alone is then

@@ -9,9 +9,11 @@ balance and reports the operating point: deflection, tension, mode
 frequency and zero-point amplitude.  The force balance is a quintic in
 the deflection whose left side rises to one maximum below the gap and then
 falls, so the stable equilibrium is its only root on the rising branch,
-found by two bracketed Newton solves, and a bias above the maximum is
-past pull-in (parallel-plate pull-in; Pelesko & Bernstein, *Modeling MEMS
-and NEMS*, 2002).
+and a bias above the maximum is past pull-in (parallel-plate pull-in;
+Pelesko & Bernstein, *Modeling MEMS and NEMS*, 2002).  Both come from
+bracketed Newton solves: the maximum (the fold) depends only on the
+geometry and the gap and is solved once for them, the root once per bias
+point.
 
 All quantities are SI; frequencies are angular (rad/s) unless a name ends
 in ``_hz``.  Deflections are positive toward the bottom electrode.
@@ -19,6 +21,7 @@ in ``_hz``.  Deflections are positive toward the bottom electrode.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -197,6 +200,14 @@ def net_stiffness(
     if deflection >= env.gap:
         raise ValueError("deflection reaches the electrode (contact)")
     k1, k3 = _stiffness_coefficients(geom)
+    return _net_stiffness(k1, k3, geom, env, deflection)
+
+
+def _net_stiffness(
+    k1: float, k3: float, geom: MembraneGeometry, env: ElectrostaticEnvironment,
+    deflection: float,
+) -> float:
+    """:func:`net_stiffness` from the stiffness coefficients already at hand."""
     electrostatic = (
         EPSILON_0 * geom.width * geom.length * env.bias_voltage ** 2
         / (env.gap - deflection) ** 3
@@ -303,15 +314,21 @@ def _bracketed_newton(fn, lo: float, hi: float, x: float) -> float:
         x = nxt
 
 
-def _stable_root(a: float, b: float) -> float | None:
-    """Stable root u of (u + a u^3)(1 - u)^2 = b for a > 0, or None past pull-in.
+# a bias sweep, and a mechanics and a couplings run on one device, share a
+# single a; a thickness sweep brings a new a at every point and never comes
+# back to one, so more entries would only hold folds that are not asked for
+# again.  16 entries hold the folds of several devices whose runs interleave.
+@functools.lru_cache(maxsize=16)
+def _fold(a: float) -> tuple[float, float]:
+    """Top (u*, f(u*)) of f(u) = (u + a u^3)(1 - u)^2 for a > 0, the pull-in fold.
 
-    The slope of the left side f factors as f' = (1 - u) g(u) with
+    The slope of f factors as f' = (1 - u) g(u) with
     g(u) = 1 - 3u + 3a u^2 - 5a u^3.  g > 0 up to u = 1/3, g < 0 from 3/5
     on, and g = 0 reads a = (3u - 1) / (u^2 (3 - 5u)), which rises with u,
-    so g has one root u* in (1/3, 3/5).  f rises from 0 to its only maximum
-    f(u*) and falls after it: for b < f(u*) the stable root is the only
-    root of f - b on [0, u*], and for b >= f(u*) there is none.
+    so g has one root u* in (1/3, 3/5), found by a bracketed Newton solve.
+    a = k3 d^2 / k1 depends only on the geometry and the gap, so the fold
+    is solved once per device and cached; a cached fold is the same pair
+    of floats as a fresh solve.
     """
 
     def minus_g(u):
@@ -322,7 +339,18 @@ def _stable_root(a: float, b: float) -> float | None:
     # in s = 3 - 5u, exact at both limits a -> 0 (u* = 1/3) and a -> inf (3/5)
     s = 20.0 / (a * (3.0 - 20.0 / (9.0 * a + 15.0)) ** 2 + 15.0)
     top = _bracketed_newton(minus_g, 1.0 / 3.0, 0.6, (3.0 - s) / 5.0)
-    f_top = (top + a * top ** 3) * (1.0 - top) ** 2
+    return top, (top + a * top ** 3) * (1.0 - top) ** 2
+
+
+def _stable_root(a: float, b: float) -> float | None:
+    """Stable root u of (u + a u^3)(1 - u)^2 = b for a > 0, or None past pull-in.
+
+    The left side f rises from 0 to its only maximum f(u*) at the fold
+    (:func:`_fold`, solved once per a) and falls after it: for b < f(u*)
+    the stable root is the only root of f - b on [0, u*], found by a
+    bracketed Newton solve at every call, and for b >= f(u*) there is none.
+    """
+    top, f_top = _fold(a)
     if not b < f_top:
         return None
 
@@ -346,10 +374,12 @@ def solve_equilibrium(
     u = x/d, with a = k3 d^2/k1 and b = eps0 w l V^2 / (2 k1 d^3), it reads
     f(u) = (u + a u^3)(1 - u)^2 = b.  f rises from 0 to one maximum at u* in
     (1/3, 3/5), the root of f' / (1 - u), and falls after it, so the stable
-    equilibrium is the only root of f - b on [0, u*].  Both u* and that root
-    come from Newton solves kept inside their brackets (bisection when a
-    step leaves one), in about 3 and 5 evaluations.  The root must also have
-    positive :func:`net_stiffness`.  The operating point carries the induced
+    equilibrium is the only root of f - b on [0, u*].  u* depends on a
+    alone, one value per geometry and gap, and is solved once per a
+    (:func:`_fold`); the root is solved at every call.  Both come from
+    Newton solves kept inside their brackets (bisection when a step leaves
+    one), in about 3 and 5 evaluations.  The root must also have positive
+    :func:`net_stiffness`.  The operating point carries the induced
     tension, the mode frequency at that tension and the zero-point
     amplitude.
 
@@ -386,7 +416,7 @@ def solve_equilibrium(
             f"(pull-in)"
         )
     root = u * d
-    if not net_stiffness(geom, env, root) > 0.0:
+    if not _net_stiffness(k1, k3, geom, env, root) > 0.0:
         raise PullInError(
             f"equilibrium at {root:.3e} m is unstable at {env.bias_voltage:g} V"
         )

@@ -3,9 +3,11 @@
 Each config reruns in process through the CLI.  The ``#`` header lines,
 the column line and every status cell must match exactly, and every
 numeric cell within 1e-12 relative, so a change that is meant to leave
-the outputs alone is checked here instead of by hand with ``cmp``.  A
-change that moves an output on purpose rewrites the golden file and says
-why.
+the outputs alone is checked here instead of by hand with ``cmp``.  The
+statics configs must also match byte for byte: their rows come from
+scalar float arithmetic alone, with no numpy and no step size, so any
+moved bit is a changed solve.  A change that moves an output on purpose
+rewrites the golden file and says why.
 """
 
 import math
@@ -30,11 +32,14 @@ COMMANDS = {
 
 REL_TOL = 1e-12
 
+#: configs whose output must equal the golden file byte for byte
+STATICS = {"couplings_voltage_sweep", "mechanics_thickness_sweep", "mechanics_voltage_sweep"}
+
 
 def test_every_bundled_config_has_a_golden_file():
     configs = {path.stem for path in (ROOT / "configs").glob("*.ini")}
     goldens = {path.stem for path in GOLDEN.glob("*.csv")}
-    assert configs == goldens == set(COMMANDS)
+    assert configs == goldens == set(COMMANDS) >= STATICS
 
 
 def cells_agree(expected: str, got: str) -> bool:
@@ -52,7 +57,8 @@ def test_bundled_config_matches_golden(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     config = ROOT / "configs" / f"{name}.ini"
     assert main([COMMANDS[name], "--config", str(config), "--out", str(out)]) == EXIT_OK
-    expected = (GOLDEN / f"{name}.csv").read_text().splitlines()
+    golden = GOLDEN / f"{name}.csv"
+    expected = golden.read_text().splitlines()
     got = out.read_text().splitlines()
 
     def header(lines):
@@ -67,3 +73,5 @@ def test_bundled_config_matches_golden(tmp_path, name):
         assert len(have) == len(want), f"row {i}"
         bad = [j for j, (a, b) in enumerate(zip(want, have)) if not cells_agree(a, b)]
         assert not bad, f"row {i}, columns {bad}: {want} != {have}"
+    if name in STATICS:
+        assert out.read_bytes() == golden.read_bytes()

@@ -18,6 +18,7 @@ from transducer_sim import (
 )
 from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, _build_parser, main
 from transducer_sim.config import _SCHEMA, MAX_SWEEP_POINTS
+from transducer_sim.mechanics import _fold
 
 from conftest import TWO_PI, pin_comb
 
@@ -338,6 +339,18 @@ class TestCouplingSweep:
         status = run_mechanics_sweep(config).column("status")
         assert status == ["ok"] * 20 + ["pull_in"] * 5
         assert run_coupling_sweep(config).column("status") == status
+
+    def test_fold_solved_once_per_geometry(self):
+        # the fold depends on a = k3 d^2 / k1 alone: one geometry and gap
+        # share it across every bias, while each thickness has its own
+        config = parse_config(MINIMAL + sweep("bias_voltage", 0, 6, 25))
+        _fold.cache_clear()
+        run_mechanics_sweep(config)
+        run_coupling_sweep(config)
+        assert _fold.cache_info().misses == 1
+        _fold.cache_clear()
+        run_mechanics_sweep(parse_config(MINIMAL + sweep("thickness", 1e-9, 3e-9, 7)))
+        assert _fold.cache_info().misses == 7
 
 
 class TestTransferRun:

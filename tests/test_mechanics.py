@@ -19,7 +19,12 @@ from transducer_sim import (
     zero_point_amplitude,
 )
 
-from transducer_sim.mechanics import _stable_root, bias_for_deflection, electrostatic_force
+from transducer_sim.mechanics import (
+    _fold,
+    _stable_root,
+    bias_for_deflection,
+    electrostatic_force,
+)
 
 from conftest import TWO_PI, documented_stiffness, reference_fold, reference_root
 
@@ -374,7 +379,12 @@ class TestStableRoot:
     def test_matches_companion_matrix_roots(self, a, ratio):
         u_top, f_top = reference_fold(a)
         b = ratio * f_top
+        # a cached fold never moves a root or a pull-in decision
+        _fold.cache_clear()
         u = _stable_root(a, b)
+        assert _fold.cache_info().misses == 1
+        assert _stable_root(a, b) == u
+        assert _fold.cache_info().hits == 1
         if u is not None:
             assert abs(_balance(a, u) - b) <= 1e-14 * b
             assert u <= u_top * (1.0 + 1e-12)
