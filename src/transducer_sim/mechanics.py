@@ -314,11 +314,10 @@ def _bracketed_newton(fn, lo: float, hi: float, x: float) -> float:
         x = nxt
 
 
-# a bias sweep, and a mechanics and a couplings run on one device, share a
-# single a; a thickness sweep brings a new a at every point and never comes
-# back to one, so more entries would only hold folds that are not asked for
-# again.  16 entries hold the folds of several devices whose runs interleave.
-@functools.lru_cache(maxsize=16)
+# one entry: consecutive calls share one a (every point of a bias sweep, and
+# a mechanics then a couplings run on one device), and a thickness sweep
+# brings a new a at every point and never comes back to one.
+@functools.lru_cache(maxsize=1)
 def _fold(a: float) -> tuple[float, float]:
     """Top (u*, f(u*)) of f(u) = (u + a u^3)(1 - u)^2 for a > 0, the pull-in fold.
 
