@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: bundled config -> the subcommand it is written for
 COMMANDS = {
+    "couplings_displacement_sweep": "couplings",
     "couplings_voltage_sweep": "couplings",
     "mechanics_thickness_sweep": "mechanics",
     "mechanics_voltage_sweep": "mechanics",
@@ -33,7 +34,12 @@ COMMANDS = {
 REL_TOL = 1e-12
 
 #: configs whose output must equal the golden file byte for byte
-STATICS = {"couplings_voltage_sweep", "mechanics_thickness_sweep", "mechanics_voltage_sweep"}
+STATICS = {
+    "couplings_displacement_sweep",
+    "couplings_voltage_sweep",
+    "mechanics_thickness_sweep",
+    "mechanics_voltage_sweep",
+}
 
 
 def test_every_bundled_config_has_a_golden_file():

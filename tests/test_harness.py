@@ -143,6 +143,7 @@ STATICS_CONFIGS = {
     "mechanics_voltage_sweep.ini": "mechanics",
     "mechanics_thickness_sweep.ini": "mechanics",
     "couplings_voltage_sweep.ini": "couplings",
+    "couplings_displacement_sweep.ini": "couplings",
 }
 
 #: (section, key) of every device key and of the sweep's stop
