@@ -41,8 +41,8 @@ from .mechanics import (
     elastic_force,
     flexural_frequency,
     induced_tension,
-    net_stiffness,
     operating_point_at_deflection,
+    pull_in_deflection,
     solve_equilibrium,
     zero_point_amplitude,
 )

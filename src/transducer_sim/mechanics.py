@@ -13,7 +13,8 @@ and a bias above the maximum is past pull-in (parallel-plate pull-in;
 Pelesko & Bernstein, *Modeling MEMS and NEMS*, 2002).  Both come from
 bracketed Newton solves: the maximum (the fold) depends only on the
 geometry and the gap and is solved once for them, the root once per bias
-point.
+point.  The fold is the one stability rule: a balanced deflection is
+stable exactly below :func:`pull_in_deflection`.
 
 All quantities are SI; frequencies are angular (rad/s) unless a name ends
 in ``_hz``.  Deflections are positive toward the bottom electrode.
@@ -147,13 +148,20 @@ def flexural_frequency(geom: MembraneGeometry, tension: float) -> float:
 
 
 def _stiffness_coefficients(geom: MembraneGeometry) -> tuple[float, float]:
-    """Linear and cubic coefficients (k1, k3) of the restoring force k1 x + k3 x^3."""
+    """Linear and cubic coefficients (k1, k3) of the restoring force k1 x + k3 x^3.
+
+    Raises ``FloatingPointError`` where either is not finite.
+    """
     l, w, h, y = geom.length, geom.width, geom.thickness, geom.youngs_modulus
     k1 = (
         _PLATE_STIFFNESS_COEFF * w * h ** 3 * y / l ** 3
         + _TENSION_STIFFNESS_COEFF * geom.pre_tension / l
     )
     k3 = _CUBIC_STIFFNESS_COEFF * w * h * y / l ** 3
+    if not (k1 < math.inf and k3 < math.inf):
+        raise FloatingPointError(
+            f"stiffness k1 = {k1:g} N/m or k3 = {k3:g} N/m^3 is not finite"
+        )
     return k1, k3
 
 
@@ -171,57 +179,13 @@ def elastic_force(geom: MembraneGeometry, deflection: float) -> float:
     return k1 * deflection + k3 * deflection ** 3
 
 
-def electrostatic_force(
-    env: ElectrostaticEnvironment, geom: MembraneGeometry, deflection: float
-) -> float:
-    """Attractive parallel-plate force (N) at a deflection, F = eps0 w l V^2 / (2 (d-x)^2)."""
-    if deflection < 0:
-        raise ValueError("deflection must be nonnegative")
-    if deflection >= env.gap:
-        raise ValueError("deflection reaches the electrode (contact)")
-    remaining = env.gap - deflection
-    return (
-        EPSILON_0 * geom.width * geom.length * env.bias_voltage ** 2
-        / (2.0 * remaining ** 2)
-    )
-
-
-def net_stiffness(
-    geom: MembraneGeometry, env: ElectrostaticEnvironment, deflection: float
-) -> float:
-    """Slope (N/m) of the net restoring force at a deflection.
-
-        k = k1 + 3 k3 x^2 - eps0 w l V^2 / (d - x)^3
-
-    An equilibrium at ``deflection`` is stable only where k > 0.
-    """
-    if deflection < 0:
-        raise ValueError("deflection must be nonnegative")
-    if deflection >= env.gap:
-        raise ValueError("deflection reaches the electrode (contact)")
-    k1, k3 = _stiffness_coefficients(geom)
-    return _net_stiffness(k1, k3, geom, env, deflection)
-
-
-def _net_stiffness(
-    k1: float, k3: float, geom: MembraneGeometry, env: ElectrostaticEnvironment,
-    deflection: float,
-) -> float:
-    """:func:`net_stiffness` from the stiffness coefficients already at hand."""
-    electrostatic = (
-        EPSILON_0 * geom.width * geom.length * env.bias_voltage ** 2
-        / (env.gap - deflection) ** 3
-    )
-    return k1 + 3.0 * k3 * deflection ** 2 - electrostatic
-
-
 def bias_for_deflection(geom: MembraneGeometry, gap: float, deflection: float) -> float:
     """Bias (V) whose parallel-plate pull balances the restoring force at a deflection.
 
         V = (d - x) sqrt(2 F(x) / (eps0 w l)),  F = :func:`elastic_force`
 
     The inverse of the force balance that :func:`solve_equilibrium` solves;
-    the balance need not be stable there (see :func:`net_stiffness`).
+    the balance is stable only below :func:`pull_in_deflection`.
     """
     if deflection >= gap:
         raise ValueError("deflection reaches the electrode (contact)")
@@ -319,15 +283,21 @@ def _bracketed_newton(fn, lo: float, hi: float, x: float) -> float:
 # brings a new a at every point and never comes back to one.
 @functools.lru_cache(maxsize=1)
 def _fold(a: float) -> tuple[float, float]:
-    """Top (u*, f(u*)) of f(u) = (u + a u^3)(1 - u)^2 for a > 0, the pull-in fold.
+    """Top (u*, f(u*)) of f(u) = (u + a u^3)(1 - u)^2 for a >= 0, the pull-in fold.
 
     The slope of f factors as f' = (1 - u) g(u) with
     g(u) = 1 - 3u + 3a u^2 - 5a u^3.  g > 0 up to u = 1/3, g < 0 from 3/5
     on, and g = 0 reads a = (3u - 1) / (u^2 (3 - 5u)), which rises with u,
-    so g has one root u* in (1/3, 3/5), found by a bracketed Newton solve.
-    a = k3 d^2 / k1 depends only on the geometry and the gap, so the fold
-    is solved once per device and cached; a cached fold is the same pair
-    of floats as a fresh solve.
+    so g has one root u* in [1/3, 3/5), found by a bracketed Newton solve;
+    a = 0, a linear spring, folds at u* = 1/3.  a = k3 d^2 / k1 depends
+    only on the geometry and the gap, so the fold is solved once per device
+    and cached; a cached fold is the same pair of floats as a fresh solve.
+
+    g is also the net stiffness: at a deflection u = x/d held in balance
+    by its bias, k1 + 3 k3 x^2 - eps0 w l V^2 / (d - x)^3 equals
+    k1 g(u) / (1 - u).  A balance is stable (k > 0) exactly where u < u*,
+    so the fold alone decides stability, free of the cancellation of
+    large terms in that sum.
     """
 
     def minus_g(u):
@@ -342,12 +312,14 @@ def _fold(a: float) -> tuple[float, float]:
 
 
 def _stable_root(a: float, b: float) -> float | None:
-    """Stable root u of (u + a u^3)(1 - u)^2 = b for a > 0, or None past pull-in.
+    """Stable root u of (u + a u^3)(1 - u)^2 = b for a >= 0, or None past pull-in.
 
     The left side f rises from 0 to its only maximum f(u*) at the fold
     (:func:`_fold`, solved once per a) and falls after it: for b < f(u*)
     the stable root is the only root of f - b on [0, u*], found by a
     bracketed Newton solve at every call, and for b >= f(u*) there is none.
+    A root is stable only strictly below u*; one that rounds onto the fold
+    is None too.
     """
     top, f_top = _fold(a)
     if not b < f_top:
@@ -361,7 +333,18 @@ def _stable_root(a: float, b: float) -> float | None:
         )
 
     # start where sqrt(f(u*) - f), linear near u*, reaches sqrt(f(u*) - b)
-    return _bracketed_newton(excess, 0.0, top, top * (1.0 - math.sqrt(1.0 - b / f_top)))
+    u = _bracketed_newton(excess, 0.0, top, top * (1.0 - math.sqrt(1.0 - b / f_top)))
+    return u if u < top else None
+
+
+def pull_in_deflection(geom: MembraneGeometry, gap: float) -> float:
+    """Deflection (m) of the pull-in fold, u* d with a = k3 d^2 / k1 (:func:`_fold`).
+
+    A deflection held in balance by its bias is stable exactly where it lies
+    below this one.
+    """
+    k1, k3 = _stiffness_coefficients(geom)
+    return _fold(k3 * gap ** 2 / k1)[0] * gap
 
 
 def solve_equilibrium(
@@ -377,16 +360,16 @@ def solve_equilibrium(
     alone, one value per geometry and gap, and is solved once per a
     (:func:`_fold`); the root is solved at every call.  Both come from
     Newton solves kept inside their brackets (bisection when a step leaves
-    one), in about 3 and 5 evaluations.  The root must also have positive
-    :func:`net_stiffness`.  The operating point carries the induced
-    tension, the mode frequency at that tension and the zero-point
-    amplitude.
+    one), in about 3 and 5 evaluations.  A root is stable exactly where it
+    lies below u* (see :func:`_fold`), the one stability rule.  The
+    operating point carries the induced tension, the mode frequency at
+    that tension and the zero-point amplitude.
 
     Raises
     ------
     PullInError
-        If b >= f(u*), i.e. the bias voltage is past the pull-in
-        instability, or if the root found is not stable.
+        If no root lies below u*: b >= f(u*), the bias voltage is past the
+        pull-in instability.
     ArithmeticError
         If a, b or the operating point leave the finite float range: a
         ``FloatingPointError`` where they come out inf or nan, and the
@@ -414,9 +397,4 @@ def solve_equilibrium(
             f"no stable equilibrium below the gap at {env.bias_voltage:g} V "
             f"(pull-in)"
         )
-    root = u * d
-    if not _net_stiffness(k1, k3, geom, env, root) > 0.0:
-        raise PullInError(
-            f"equilibrium at {root:.3e} m is unstable at {env.bias_voltage:g} V"
-        )
-    return operating_point_at_deflection(geom, root)
+    return operating_point_at_deflection(geom, u * d)

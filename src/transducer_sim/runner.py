@@ -72,9 +72,10 @@ def _operating_point(config: ExperimentConfig, variable: str, value: float):
 
     A thickness or bias point is solved for its equilibrium (``PullInError``
     past pull-in).  A displacement point takes the bias that balances the
-    forces there; its operating point is None where that bias cannot hold
-    the sheet (unstable), and a displacement that reaches the electrode gap
-    is a ``ConfigError``.
+    forces there; its operating point is None at or past the pull-in fold
+    (:func:`mechanics.pull_in_deflection`), where that bias cannot hold the
+    sheet (unstable), and a displacement that reaches the electrode gap is
+    a ``ConfigError``.
     """
     geom, env = config.geometry, config.environment
     if variable == "thickness":
@@ -87,7 +88,7 @@ def _operating_point(config: ExperimentConfig, variable: str, value: float):
         env = mechanics.ElectrostaticEnvironment(
             gap=env.gap, bias_voltage=mechanics.bias_for_deflection(geom, env.gap, value)
         )
-        if mechanics.net_stiffness(geom, env, value) <= 0.0:
+        if value >= mechanics.pull_in_deflection(geom, env.gap):
             return geom, env, None
         return geom, env, mechanics.operating_point_at_deflection(geom, value)
     return geom, env, mechanics.solve_equilibrium(geom, env)

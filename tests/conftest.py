@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.constants import epsilon_0
 
 from transducer_sim import ElectrostaticEnvironment, MembraneGeometry, dynamics
 
@@ -39,6 +40,37 @@ def documented_stiffness(geom):
     k1 = 30.78 * w * h ** 3 * y / l ** 3 + 12.32 * geom.pre_tension / l
     k3 = 8.0 * w * h * y / (3.0 * l ** 3)
     return k1, k3
+
+
+def electrostatic_force(env, geom, deflection):
+    """Attractive parallel-plate force (N) at a deflection, eps0 w l V^2 / (2 (d - x)^2)."""
+    if deflection < 0:
+        raise ValueError("deflection must be nonnegative")
+    if deflection >= env.gap:
+        raise ValueError("deflection reaches the electrode (contact)")
+    plates = epsilon_0 * geom.width * geom.length
+    return plates * env.bias_voltage ** 2 / (2.0 * (env.gap - deflection) ** 2)
+
+
+def net_stiffness(geom, env, deflection):
+    """Slope (N/m) of the net restoring force at a deflection.
+
+        k = k1 + 3 k3 x^2 - eps0 w l V^2 / (d - x)^3
+
+    with (k1, k3) from :func:`documented_stiffness`.  An equilibrium is
+    stable where k > 0.  The sum cancels to rounding noise near pull-in,
+    so it is a test reference only; the package decides stability by the
+    fold.
+    """
+    if deflection < 0:
+        raise ValueError("deflection must be nonnegative")
+    if deflection >= env.gap:
+        raise ValueError("deflection reaches the electrode (contact)")
+    k1, k3 = documented_stiffness(geom)
+    plates = epsilon_0 * geom.width * geom.length
+    return k1 + 3.0 * k3 * deflection ** 2 - plates * env.bias_voltage ** 2 / (
+        env.gap - deflection
+    ) ** 3
 
 
 def loaded(system):

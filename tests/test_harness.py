@@ -341,13 +341,28 @@ class TestCouplingSweep:
         assert status == ["ok"] * 20 + ["pull_in"] * 5
         assert run_coupling_sweep(config).column("status") == status
 
+    def test_tuning_error_rows(self):
+        # a 30 uH coil cannot reach the mode once the bias has tuned it up:
+        # the mechanics hold at every point, the circuit match fails past 2 V
+        config = parse_config(
+            set_key(MINIMAL, "circuit", "inductance_h", "3e-5") + sweep("bias_voltage", 0, 4.5, 10)
+        )
+        table = run_coupling_sweep(config)
+        assert table.column("status") == ["ok"] * 5 + ["tuning_error"] * 5
+        for row in table.rows[5:]:
+            assert all(math.isnan(v) for v in row[1:4]), row
+        assert run_mechanics_sweep(config).column("status") == ["ok"] * 10
+
     def test_fold_solved_once_per_geometry(self):
         # the fold depends on a = k3 d^2 / k1 alone: one geometry and gap
-        # share it across every bias, while each thickness has its own
+        # share it across every bias and every displacement, while each
+        # thickness has its own
         config = parse_config(MINIMAL + sweep("bias_voltage", 0, 6, 25))
         _fold.cache_clear()
         run_mechanics_sweep(config)
         run_coupling_sweep(config)
+        assert _fold.cache_info().misses == 1
+        run_coupling_sweep(parse_config(MINIMAL + sweep("displacement", 0, 9e-9, 37)))
         assert _fold.cache_info().misses == 1
         _fold.cache_clear()
         run_mechanics_sweep(parse_config(MINIMAL + sweep("thickness", 1e-9, 3e-9, 7)))
@@ -695,6 +710,17 @@ class TestCli:
             for row in rows:
                 if row[-1] == "ok":
                     assert all(math.isfinite(float(v)) for v in row[:-1]), row
+
+    @pytest.mark.parametrize("name", ["mechanics_voltage_sweep.ini", "couplings_displacement_sweep.ini"])
+    def test_overflowing_stiffness_exits_2(self, tmp_path, capsys, name):
+        # a 1e100 m sheet overflows k1 to inf: the bias sweep wrote ok rows
+        # at deflection 0, the displacement sweep tuning_error rows past
+        # the fold
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(set_key(read_config(name), "geometry", "thickness_m", "1e100"))
+        assert main([STATICS_CONFIGS[name], "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "leave the float range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_log_range_past_the_float_range_exits_2(self, tmp_path, capsys):
         # stop / start = 3.3e309 overflows; every point after the first was inf

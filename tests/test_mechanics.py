@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import epsilon_0
 
@@ -13,20 +13,22 @@ from transducer_sim import (
     elastic_force,
     flexural_frequency,
     induced_tension,
-    net_stiffness,
     operating_point_at_deflection,
+    pull_in_deflection,
     solve_equilibrium,
     zero_point_amplitude,
 )
 
-from transducer_sim.mechanics import (
-    _fold,
-    _stable_root,
-    bias_for_deflection,
-    electrostatic_force,
-)
+from transducer_sim.mechanics import _fold, _stable_root, bias_for_deflection
 
-from conftest import TWO_PI, documented_stiffness, reference_fold, reference_root
+from conftest import (
+    TWO_PI,
+    documented_stiffness,
+    electrostatic_force,
+    net_stiffness,
+    reference_fold,
+    reference_root,
+)
 
 
 def replace_geometry(geom, **kwargs):
@@ -357,6 +359,38 @@ class TestSolveEquilibrium:
         assert rise / dv == pytest.approx(slope, rel=1e-3)
 
 
+class TestPullInDeflection:
+    @given(
+        st.floats(min_value=0.3e-9, max_value=100e-9),
+        st.floats(min_value=1e-9, max_value=1000e-9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_fold(self, geometry, thickness, gap):
+        geom = replace_geometry(geometry, thickness=thickness)
+        k1, k3 = documented_stiffness(geom)
+        u_star, _ = reference_fold(k3 * gap ** 2 / k1)
+        assert pull_in_deflection(geom, gap) == pytest.approx(u_star * gap, rel=1e-12)
+
+    @given(
+        st.floats(min_value=0.3e-9, max_value=100e-9),
+        st.floats(min_value=1e-9, max_value=1000e-9),
+        st.floats(min_value=1e-9, max_value=1000e-9),
+        st.floats(min_value=0.0, max_value=0.99, exclude_min=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fold_decides_stability_as_net_stiffness_does(
+        self, geometry, thickness, pre_tension, gap, u
+    ):
+        # at a balanced deflection the net stiffness is k1 g(u) / (1 - u),
+        # with g the slope factor whose root is the fold; the sum itself
+        # is rounding noise within a few ulps of the fold
+        geom = replace_geometry(geometry, thickness=thickness, pre_tension=pre_tension)
+        x, x_star = u * gap, pull_in_deflection(geom, gap)
+        assume(abs(x / x_star - 1.0) > 1e-12)
+        env = ElectrostaticEnvironment(gap=gap, bias_voltage=bias_for_deflection(geom, gap, x))
+        assert (x >= x_star) == (net_stiffness(geom, env, x) <= 0.0)
+
+
 def _balance(a, u):
     return (u + a * u ** 3) * (1.0 - u) ** 2
 
@@ -387,7 +421,7 @@ class TestStableRoot:
         assert _fold.cache_info().hits == 1
         if u is not None:
             assert abs(_balance(a, u) - b) <= 1e-14 * b
-            assert u <= u_top * (1.0 + 1e-12)
+            assert u < _fold(a)[0] <= u_top * (1.0 + 1e-12)
         # within 1e-13 of the maximum, rounding picks the side of the fold:
         # numpy.roots flips its decision up to 7e-15 away from it
         if abs(1.0 - ratio) <= 1e-13:
