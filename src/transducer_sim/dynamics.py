@@ -36,12 +36,17 @@ The scheme is linear and the same at every step, so the core composes
 16 steps into one precomputed block map: a block reads the comb once
 (its sums against rot_h^p, p = 0..32), gets every step's bright
 amplitudes and comb injections from that map, and writes the comb once.
-Every run records: a block also takes the squared comb norm at its start
-(one ``vdot``), from which, with the block's step rows, the fidelity of
-each of its steps follows.  The blocks write their step rows into a
-buffer of 64 blocks, which is read into samples by one vectorised pass
-when it is full or the run ends: the loop only steps, and the buffer
-stays the same size however long the run.
+What depends on the comb and the step alone (the power table of rot_h^p,
+the kernel sums, the Toeplitz read of the block map and the fidelity
+form) is built once per (mode_spacing, mode_count, dt) and held,
+read-only, until a run on another comb or step, so the points of a scan
+on one comb share it; each run builds only its block map, in three array
+operations per step.  Every run records: a block also takes the squared
+comb norm at its start (one ``vdot``), from which, with the block's step
+rows, the fidelity of each of its steps follows.  The blocks write their
+step rows into a buffer of 64 blocks, which is read into samples by one
+vectorised pass when it is full or the run ends: the loop only steps,
+and the buffer stays the same size however long the run.
 
 numpy is imported by the functions that build and step a trajectory, not
 when this module loads, so a process that runs only the statics loads the
@@ -227,8 +232,9 @@ def _step_map(system: TransferSystem, dt: float, rot_h_sum: complex) -> np.ndarr
     """One Lawson RK4 step as a 6 x 6 matrix.
 
     Maps (x1, x2, x3, s0, s1, s2), the bright amplitudes and the comb sums
-    s_p = sum_j rot_h_j^p c_wj, to the next bright amplitudes and the stage
-    scalars (q0, q1, q2) of the comb update c <- rot (c + q0) + rot_h q1 + q2.
+    s_p = sum_j rot_h_j^p c_wj, to the stage scalars (q0, q1, q2) of the
+    comb update c <- rot (c + q0) + rot_h q1 + q2 and the next bright
+    amplitudes, in that order (:func:`_block_map` lays its rows out so).
     The integrating factor holds the comb rotation and the decay
     exp(-Gamma t / 2) of the phonon and circuit amplitudes (d2, d3 per half
     step), so the stages see only the couplings.  The comb's share of those
@@ -262,56 +268,114 @@ def _step_map(system: TransferSystem, dt: float, rot_h_sum: complex) -> np.ndarr
         w1, w2, w3 = x1 + dt * e1, d2 * (d2 * x2 + dt * e2), d3 * (d3 * x3 + dt * e3)
         f1, f2, f3 = rates(w1, w2, w3, s2 - dt * kp_rot_h * v1)
         return (
-            x1 + sixth * (a1 + 2.0 * (b1 + e1) + f1),
-            d2 * (d2 * (x2 + sixth * a2) + 2.0 * sixth * (b2 + e2)) + sixth * f2,
-            d3 * (d3 * (x3 + sixth * a3) + 2.0 * sixth * (b3 + e3)) + sixth * f3,
             -sixth * kp * x1,
             -2.0 * sixth * kp * (u1 + v1),
             -sixth * kp * w1,
+            x1 + sixth * (a1 + 2.0 * (b1 + e1) + f1),
+            d2 * (d2 * (x2 + sixth * a2) + 2.0 * sixth * (b2 + e2)) + sixth * f2,
+            d3 * (d3 * (x3 + sixth * a3) + 2.0 * sixth * (b3 + e3)) + sixth * f3,
         )
 
     # the step is linear: its columns are the images of the six unit inputs
     return np.array([one_step(*unit) for unit in np.eye(6).tolist()]).T
 
 
-def _block_map(step_map: np.ndarray, kernel: np.ndarray):
-    """``_BLOCK`` = B steps of ``step_map`` as linear maps of one block input.
+#: the tables of the last comb and step, keyed by (mode_spacing,
+#: mode_count, dt); one entry, dropped before the next is built, so two
+#: tables never live at once
+_held_tables = {}
 
-    The input is z = (x1, x2, x3, F_0..F_2B), with F_p = sum_j rot_h_j^p
-    c_wj of the comb at the block start; ``kernel[p]`` is G(p) =
-    sum_j rot_h_j^p.  After k steps the comb is rot_h^2k c + sum_p h_p
-    rot_h^p, where q_i of step m sits at exponent 2 (k - m) - i, so the
-    comb sums of step k are F_(2k+i) plus the kernel term
-    sum_p h_p G(p + i) of the block's own injections.
 
-    Returns ``steps`` (B, 9, 2B + 4), whose rows for step k are the bright
-    amplitudes after it, its stage scalars (q0, q1, q2) and its comb sums
-    (s0, s1, s2), and ``combs`` (B, 2B + 1, 2B + 4), the injections h after
-    k + 1 steps.  Both are causal: the first L steps of a block need only
-    their first L entries.
+def _comb_tables(system: TransferSystem, dt: float):
+    """The read-only :func:`_build_comb_tables` of the system's comb at step ``dt``.
+
+    They depend on (mode_spacing, mode_count, dt) alone, so the runs of a
+    scan on one comb and step share them: they are built at the first and
+    held until a run on another comb or step.
+    """
+    key = (system.mode_spacing, system.mode_count, dt)
+    if key not in _held_tables:
+        _held_tables.clear()
+        _held_tables[key] = _build_comb_tables(system, dt)
+    return _held_tables[key]
+
+
+def _build_comb_tables(system: TransferSystem, dt: float):
+    """``(powers, kernel, sums, form)``: the tables of one comb and step, read-only.
+
+    Row p of the power table is rot_h^p (p = 0..2 _BLOCK), and the kernel
+    G(p) = sum_j rot_h_j^p its row sums; ``sums`` is the Toeplitz read of
+    the comb sums (:func:`_block_map`) and ``form`` the |c|^2 gain form
+    (:func:`_read_chunk`).
     """
     import numpy as np
 
     n_pow = 2 * _BLOCK + 1
+    rot_h = np.exp(-0.5j * dt * system.detunings)
+    powers = np.empty((n_pow, system.mode_count), dtype=complex)
+    powers[0] = 1.0
+    for p in range(1, n_pow):
+        np.multiply(powers[p - 1], rot_h, out=powers[p])
+    g = powers.sum(axis=1)
     lags = np.subtract.outer(np.arange(n_pow), np.arange(n_pow))
     # row a: G(a - e) on the injections in row e, then F_a itself
-    sums = np.hstack((np.tril(kernel[np.abs(lags)]), np.eye(n_pow)))
+    sums = np.hstack((np.tril(g[np.abs(lags)]), np.eye(n_pow)))
+    # the |c|^2 gain of a step is Re(u^H K u) for u = (q, s), with
+    # K = [[T, 1], [1, 0]]; ``form`` holds K transposed for row-wise u
+    form = np.zeros((6, 6), dtype=complex)
+    form[:3, :3] = [
+        [g[0], g[1], g[2]],
+        [g[1].conj(), g[0], g[1]],
+        [g[2].conj(), g[1].conj(), g[0]],
+    ]
+    form[:3, 3:] = form[3:, :3] = np.eye(3)
+    tables = powers, g, sums, form
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _block_map(step_map: np.ndarray, sums: np.ndarray, lengths):
+    """``_BLOCK`` = B steps of ``step_map`` as linear maps of one block input.
+
+    The input is z = (x1, x2, x3, F_0..F_2B), with F_p = sum_j rot_h_j^p
+    c_wj of the comb at the block start.  After k steps the comb is
+    rot_h^2k c + sum_p h_p rot_h^p, where q_i of step m sits at exponent
+    2 (k - m) - i, so the comb sums of step k are F_(2k+i) plus the kernel
+    term sum_p h_p G(p + i) of the block's own injections: row 2k + i of
+    ``sums`` (:func:`_build_comb_tables`).  ``step_map`` is :func:`_step_map`,
+    whose outputs are (q0, q1, q2, x1, x2, x3).
+
+    Returns ``steps`` (9 B, 2B + 4), whose nine rows for step k are the
+    bright amplitudes after it, its stage scalars (q0, q1, q2) and its comb
+    sums (s0, s1, s2), and ``combs``, which maps each block length L in
+    ``lengths`` to the injections h (2B + 1, 2B + 4) after L steps.
+    ``steps`` is causal: the first L steps of a block need only their
+    first 9 L rows.
+    """
+    import numpy as np
+
+    n_pow = 2 * _BLOCK + 1
+    width = 3 + n_pow
+    # rows (q_(k-1), x_k, s_k) per step k: step k reads x_k and s_k as one
+    # slice and writes (q_k, x_(k+1)) at the head of step k + 1's rows
+    rows = np.zeros((_BLOCK + 1, 9, width), dtype=complex)
+    rows[0, 3:6, :3] = np.eye(3)
     # q_i of step m accumulates in row 2m + i, so h_p after k steps is row
     # 2k - p; the rows below hold the unit inputs F_p
-    chain = np.zeros((2 * n_pow, 3 + n_pow), dtype=complex)
+    chain = np.zeros((2 * n_pow, width), dtype=complex)
     chain[n_pow:, 3:] = np.eye(n_pow)
-    inputs = np.zeros((6, 3 + n_pow), dtype=complex)
-    inputs[:3, :3] = np.eye(3)
-    steps = np.empty((_BLOCK, 9, 3 + n_pow), dtype=complex)
-    combs = np.zeros((_BLOCK, n_pow, 3 + n_pow), dtype=complex)
+    combs = {}
     for k in range(_BLOCK):
-        np.matmul(sums[2 * k : 2 * k + 3], chain, out=inputs[3:])
-        np.matmul(step_map, inputs, out=steps[k, :6])
-        steps[k, 6:] = inputs[3:]
-        inputs[:3] = steps[k, :3]
-        chain[2 * k : 2 * k + 3] += steps[k, 3:6]
-        combs[k, : 2 * k + 3] = chain[2 * k + 2 :: -1]
-    return steps, combs
+        np.matmul(sums[2 * k : 2 * k + 3], chain, out=rows[k, 6:])
+        np.matmul(step_map, rows[k, 3:], out=rows[k + 1, :6])
+        chain[2 * k : 2 * k + 3] += rows[k + 1, :3]
+        if k + 1 in lengths:
+            combs[k + 1] = np.zeros((n_pow, width), dtype=complex)
+            combs[k + 1][: 2 * k + 3] = chain[2 * k + 2 :: -1]
+    # step k's rows (x_(k+1), q_k, s_k) sit at 9 k + (12..14, 9..11, 6..8)
+    order = 9 * np.arange(_BLOCK)[:, None] + [12, 13, 14, 9, 10, 11, 6, 7, 8]
+    return rows.reshape(-1, width)[order.ravel()], combs
 
 
 def _advance(
@@ -324,10 +388,12 @@ def _advance(
     """The stepping core: ``n_steps`` Lawson RK4 steps of ``dt`` from ``y``.
 
     Runs in blocks of ``_BLOCK`` = B steps.  A block reads the comb once as
-    F = P c, where row p of the power table P is rot_h^p (p = 0..2B); one
-    precomputed map (:func:`_block_map`) takes (x1, x2, x3, F) to the bright
-    amplitudes, stage scalars and comb sums of all its L steps, and the comb
-    is written once as c <- P[2L] c + h P.  The block writes those step rows
+    F = P c, where row p of the power table P is rot_h^p (p = 0..2B), one of
+    the tables a run shares with the runs before it on the same comb and
+    step (:func:`_comb_tables`); one precomputed map (:func:`_block_map`)
+    takes (x1, x2, x3, F) to the bright amplitudes, stage scalars and comb
+    sums of all its L steps, and the comb is written once as
+    c <- P[2L] c + h P.  The block writes those step rows
     into a buffer of ``_CHUNK`` blocks and |c|^2 at its start (one
     ``vdot``); nothing else is read while stepping.  When the buffer is
     full, or the run ends, :func:`_read_chunk` turns the steps to record
@@ -339,26 +405,13 @@ def _advance(
     """
     import numpy as np
 
-    n_pow = 2 * _BLOCK + 1
-    rot_h = np.exp(-0.5j * dt * system.detunings)
-    powers = np.empty((n_pow, system.mode_count), dtype=complex)
-    powers[0] = 1.0
-    for p in range(1, n_pow):
-        np.multiply(powers[p - 1], rot_h, out=powers[p])
-    g = powers.sum(axis=1)
-    steps, combs = _block_map(_step_map(system, dt, g[1]), g)
-    steps = steps.reshape(9 * _BLOCK, 3 + n_pow)
-    # the |c|^2 gain of a step is Re(u^H K u) for u = (q, s), with
-    # K = [[T, 1], [1, 0]]; ``form`` holds K transposed for row-wise u
-    form = np.zeros((6, 6), dtype=complex)
-    form[:3, :3] = [
-        [g[0], g[1], g[2]],
-        [g[1].conj(), g[0], g[1]],
-        [g[2].conj(), g[1].conj(), g[0]],
-    ]
-    form[:3, 3:] = form[3:, :3] = np.eye(3)
+    powers, kernel, sums, form = _comb_tables(system, dt)
+    # the comb injections are needed at the block lengths this run takes
+    steps, combs = _block_map(
+        _step_map(system, dt, kernel[1]), sums, {min(_BLOCK, n_steps), n_steps % _BLOCK}
+    )
 
-    z = np.empty(3 + n_pow, dtype=complex)
+    z = np.empty(steps.shape[1], dtype=complex)
     z[:3] = y[:3]
     c = y[3:].copy()
     chunk = np.empty((_CHUNK, 9 * _BLOCK), dtype=complex)
@@ -373,7 +426,7 @@ def _advance(
         np.matmul(powers, c, out=z[3:])
         np.matmul(steps, z, out=chunk[b])
         np.multiply(c, powers[2 * size], out=c)
-        c += (combs[size - 1] @ z) @ powers
+        c += (combs[size] @ z) @ powers
         z[:3] = chunk[b, 9 * size - 9 : 9 * size - 6]
         if b == _CHUNK - 1 or start + size == n_steps:
             # steps first + 1 .. start + size ran in this chunk

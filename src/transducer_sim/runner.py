@@ -74,8 +74,9 @@ def _operating_point(config: ExperimentConfig, variable: str, value: float):
     past pull-in).  A displacement point takes the bias that balances the
     forces there; its operating point is None at or past the pull-in fold
     (:func:`mechanics.pull_in_deflection`), where that bias cannot hold the
-    sheet (unstable), and a displacement that reaches the electrode gap is
-    a ``ConfigError``.
+    sheet (unstable), a displacement that reaches the electrode gap is a
+    ``ConfigError``, and one whose bias overflows raises
+    ``FloatingPointError``.
     """
     geom, env = config.geometry, config.environment
     if variable == "thickness":
@@ -85,9 +86,10 @@ def _operating_point(config: ExperimentConfig, variable: str, value: float):
     else:
         if value >= env.gap:
             raise ConfigError("displacement sweep reaches the electrode gap", "sweep")
-        env = mechanics.ElectrostaticEnvironment(
-            gap=env.gap, bias_voltage=mechanics.bias_for_deflection(geom, env.gap, value)
-        )
+        bias = mechanics.bias_for_deflection(geom, env.gap, value)
+        if not math.isfinite(bias):
+            raise FloatingPointError("the bias for this deflection is not finite")
+        env = mechanics.ElectrostaticEnvironment(gap=env.gap, bias_voltage=bias)
         if value >= mechanics.pull_in_deflection(geom, env.gap):
             return geom, env, None
         return geom, env, mechanics.operating_point_at_deflection(geom, value)

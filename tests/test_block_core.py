@@ -103,7 +103,9 @@ def start_state(system):
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
-@pytest.mark.parametrize("n_steps", [0, 1, 15, 16, 17, 53])
+# a full block followed by each partial block length, since the comb
+# injections are snapshot only at the block lengths a run takes
+@pytest.mark.parametrize("n_steps", [0, 1, 15, *range(_BLOCK, 2 * _BLOCK), 53])
 def test_blocked_core_matches_per_step_loop(name, n_steps):
     system = SYSTEMS[name]
     if name == "paper_200mhz":

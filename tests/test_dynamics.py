@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from transducer_sim import (
     TransferSystem,
     default_discretization,
     default_timestep,
+    dynamics,
     integrate,
     make_transfer_system,
     thermal_occupation,
@@ -22,6 +24,7 @@ from transducer_sim.constants import wavelength_to_angular_frequency
 from transducer_sim.dynamics import (
     MAX_MODE_COUNT,
     MAX_STEPS,
+    _BLOCK,
     _advance,
     max_timestep,
     step_plan,
@@ -438,6 +441,54 @@ class TestTimeToFidelity:
         assert 0.99 < record.max_fidelity < 0.999
 
 
+def held_tables():
+    """The one set of comb tables ``dynamics`` holds."""
+    (tables,) = dynamics._held_tables.values()
+    return tables
+
+
+class TestCombTables:
+    """The power table, kernel sums, Toeplitz read and gain form of one comb and step."""
+
+    def test_warm_run_equals_cold_run(self):
+        # another temperature keeps the comb and the step, so the second
+        # run reads the tables the first one built
+        cold_system, system = benchmark_system(temperature=0.5), benchmark_system()
+        dynamics._held_tables.clear()
+        cold = integrate(cold_system, 40e-9)
+        dynamics._held_tables.clear()
+        integrate(system, 40e-9)
+        tables = held_tables()
+        warm = integrate(cold_system, 40e-9)
+        assert held_tables() is tables
+        for a, b in zip(cold, warm):
+            assert np.array_equal(a, b)
+
+    def test_other_comb_drops_the_held_tables(self, monkeypatch):
+        integrate(benchmark_system(), 10e-9)
+        old = weakref.ref(held_tables()[0])
+        build = dynamics._build_comb_tables
+
+        def build_after_drop(system, dt):
+            # the held power table is freed before the new one is built
+            assert old() is None
+            return build(system, dt)
+
+        monkeypatch.setattr(dynamics, "_build_comb_tables", build_after_drop)
+        other = benchmark_system(g_c=TWO_PI * 200e6)
+        assert other.mode_count == 2000
+        integrate(other, 10e-9)
+        assert old() is None
+        assert held_tables()[0].shape == (2 * _BLOCK + 1, 2000)
+
+    def test_tables_are_read_only(self):
+        integrate(benchmark_system(), 10e-9)
+        for table in held_tables():
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+
 class TestIntegrate:
     def test_zero_duration(self):
         record = integrate(benchmark_system(), 0.0)
@@ -461,7 +512,9 @@ class TestIntegrate:
     def test_recording_memory_is_flat_in_duration(self):
         # the 5 MHz paper trajectory on its 2000-mode comb, recorded as the
         # transfer run records it; the step rows are read into samples in
-        # chunks of bounded size, so a 4x longer run peaks no higher
+        # chunks of bounded size, so a 4x longer run peaks no higher.  Both
+        # runs take the same step, so each drops the held comb tables and
+        # builds its own, as a transfer run on a new comb does
         system = make_transfer_system(
             g_c=TWO_PI * 5e6,
             kappa=KAPPA50,
@@ -473,6 +526,7 @@ class TestIntegrate:
         peaks = {}  # traced peak (MiB) per step count
         for duration in (0.5e-6, 2e-6):
             n_steps, _ = step_plan(system, duration)
+            dynamics._held_tables.clear()
             tracemalloc.start()
             try:
                 integrate(system, duration, record_every=max(1, n_steps // 500))

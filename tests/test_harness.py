@@ -421,6 +421,24 @@ class TestEnvironmentScan:
         assert table.column("status")[0] == "not_reached"
         assert math.isnan(table.column("time_to_f95")[0])
 
+    def test_comb_tables_built_once_per_comb(self, monkeypatch):
+        # the comb tables depend on the comb and the step alone: the points
+        # of a temperature scan share both, while each decay of a kappa scan
+        # has its own
+        build, builds = dynamics._build_comb_tables, []
+
+        def counted(system, dt):
+            builds.append(dt)
+            return build(system, dt)
+
+        monkeypatch.setattr(dynamics, "_build_comb_tables", counted)
+        monkeypatch.setattr(dynamics, "_held_tables", {})
+        text = read_config("scan_temperature.ini").replace("points = 5", "points = 20")
+        assert len(run_environment_scan(parse_config(text)).rows) == 20
+        assert len(builds) == 1
+        run_environment_scan(parse_config(read_config("scan_kappa.ini")))
+        assert len(builds) == 5
+
 
 class TestDeterminismAndFormat:
     def test_bit_identical_reruns(self):
@@ -536,6 +554,20 @@ class TestCli:
         assert len(populations) > 100
         assert np.all(np.isfinite(populations))
         assert np.all((populations >= 0.0) & (populations <= 1.0 + 1e-8))
+
+    def test_infinite_bias_for_displacement_exits_2(self, tmp_path, capsys):
+        # a pre-tension of 1e300 N overflows the bias that holds any
+        # displacement past 0; the first such point leaves the float range,
+        # it is not a circuit that fails to tune
+        text = read_config("couplings_displacement_sweep.ini").replace(
+            "youngs_modulus_pa = 1000e9",
+            "youngs_modulus_pa = 1000e9\npre_tension_n = 1e300\nclamping_coefficient = 1e-100",
+        )
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(text)
+        assert main(["couplings", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "statics at displacement = 2.5e-10 leave the float range" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["g_c_hz", "kappa_hz"])
     def test_oversized_default_comb_exits_2(self, tmp_path, key):
