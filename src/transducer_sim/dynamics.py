@@ -36,17 +36,23 @@ The scheme is linear and the same at every step, so the core composes
 16 steps into one precomputed block map: a block reads the comb once
 (its sums against rot_h^p, p = 0..32), gets every step's bright
 amplitudes and comb injections from that map, and writes the comb once.
-What depends on the comb and the step alone (the power table of rot_h^p,
-the kernel sums, the Toeplitz read of the block map and the fidelity
-form) is built once per (mode_spacing, mode_count, dt) and held,
-read-only, until a run on another comb or step, so the points of a scan
-on one comb share it; each run builds only its block map, in three array
-operations per step.  Every run records: a block also takes the squared
-comb norm at its start (one ``vdot``), from which, with the block's step
-rows, the fidelity of each of its steps follows.  The blocks write their
-step rows into a buffer of 64 blocks, which is read into samples by one
-vectorised pass when it is full or the run ends: the loop only steps,
-and the buffer stays the same size however long the run.
+The detunings come in +- pairs, whose rot_h are complex conjugates, so
+the core holds each pair in a sum and difference basis in which the read
+and the write are each one real product with a table of half the comb:
+rot_h^p of one member per pair, and its conjugate.  The modes without a
+partner, the zero-detuning mode (N even) and the top edge mode, step
+inside the block map.  What depends on the comb and the step alone (the
+two pair power tables, the kernel sums, the Toeplitz read of the block
+map and the fidelity form) is built once per (mode_spacing, mode_count,
+dt) and held, read-only, until a run on another comb or step, so the
+points of a scan on one comb share it; each run builds only its block
+map, in three array operations per step.  Every run records: a block
+also takes the squared comb norm at its start (one ``vdot``), from
+which, with the block's step rows, the fidelity of each of its steps
+follows.  The blocks write their step rows into a buffer of 64 blocks,
+which is read into samples by one vectorised pass when it is full or the
+run ends: the loop only steps, and the buffer stays the same size
+however long the run.
 
 numpy is imported by the functions that build and step a trajectory, not
 when this module loads, so a process that runs only the statics loads the
@@ -56,6 +62,7 @@ standard library alone.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import TWO_PI
@@ -76,20 +83,21 @@ _DT_RATE_FRACTION = 0.03
 #: keep runs clear of the revival of the discretized photon comb
 _REVIVAL_SAFETY = 0.95
 
-#: most steps one run may plan; at ~5 us per step (500-2000 modes, 2-vCPU
-#: Xeon VM) this is ~8 min.  On the comb that make_transfer_system derives,
+#: most steps one run may plan; at ~3 us per step (500-2000 modes, 2-vCPU
+#: Xeon VM) this is ~5 min.  On the comb that make_transfer_system derives,
 #: a run short of its revival plans at most about 7.0e7 steps (0.95 revival
 #: times g / 0.03 at the largest g that MAX_MODE_COUNT modes cover), so
 #: only a system built on its own comb reaches this
 MAX_STEPS = 10 ** 8
 
-#: most photon modes one comb may hold; the power table alone is then
-#: 33 x N complex numbers, about 0.5 GB
+#: most photon modes one comb may hold; the two pair power tables alone
+#: are then 33 x N complex numbers together, about 0.5 GB
 MAX_MODE_COUNT = 10 ** 6
 
-#: steps composed into one precomputed block map; the power table holds
-#: 2 _BLOCK + 1 rows of the comb length (about 1 MB at 2000 modes), and a
-#: longer block buys little once the two comb products dominate
+#: steps composed into one precomputed block map; the pair power tables
+#: hold 2 _BLOCK + 1 rows of half the comb length each (about 1 MB
+#: together at 2000 modes), and a longer block buys little once the two
+#: comb products dominate
 _BLOCK = 16
 
 #: blocks whose step rows are buffered before they are read into samples;
@@ -286,6 +294,22 @@ def _step_map(system: TransferSystem, dt: float, rot_h_sum: complex) -> np.ndarr
 _held_tables = {}
 
 
+def _pairing(mode_count: int):
+    """``(low, high, single)``: the comb's mode indices, in conjugate pairs or single.
+
+    Mode i sits at detuning (i + 1 - N/2) delta_w, so modes i and N - 2 - i
+    sit at opposite detunings and their rot_h are complex conjugates:
+    ``low[k]`` (below zero) pairs with ``high[k]``.  ``single`` holds the
+    modes without a partner: the zero-detuning mode when N is even, then
+    the top edge mode at N delta_w / 2.
+    """
+    import numpy as np
+
+    n_pairs = (mode_count - 1) // 2
+    low = np.arange(n_pairs)
+    return low, mode_count - 2 - low, np.r_[n_pairs : mode_count - 1 - n_pairs, mode_count - 1]
+
+
 def _comb_tables(system: TransferSystem, dt: float):
     """The read-only :func:`_build_comb_tables` of the system's comb at step ``dt``.
 
@@ -301,22 +325,27 @@ def _comb_tables(system: TransferSystem, dt: float):
 
 
 def _build_comb_tables(system: TransferSystem, dt: float):
-    """``(powers, kernel, sums, form)``: the tables of one comb and step, read-only.
+    """``(pairs, pairs_conj, singles, kernel, sums, form)``: one comb and step, read-only.
 
-    Row p of the power table is rot_h^p (p = 0..2 _BLOCK), and the kernel
-    G(p) = sum_j rot_h_j^p its row sums; ``sums`` is the Toeplitz read of
-    the comb sums (:func:`_block_map`) and ``form`` the |c|^2 gain form
-    (:func:`_read_chunk`).
+    Row p (p = 0..2 _BLOCK) of ``pairs`` is rot_h^p of the low member of
+    each conjugate pair (:func:`_pairing`), ``pairs_conj`` its complex
+    conjugate, and ``singles`` rot_h^p of the single modes; the kernel
+    G(p) = sum_j rot_h_j^p runs over the whole comb.  ``sums`` is the
+    Toeplitz read of the comb sums (:func:`_block_map`) and ``form`` the
+    |c|^2 gain form (:func:`_read_chunk`).
     """
     import numpy as np
 
     n_pow = 2 * _BLOCK + 1
+    low, _, single = _pairing(system.mode_count)
     rot_h = np.exp(-0.5j * dt * system.detunings)
-    powers = np.empty((n_pow, system.mode_count), dtype=complex)
-    powers[0] = 1.0
-    for p in range(1, n_pow):
-        np.multiply(powers[p - 1], rot_h, out=powers[p])
-    g = powers.sum(axis=1)
+    power = np.ones_like(rot_h)
+    pairs = np.empty((n_pow, low.size), dtype=complex)
+    singles = np.empty((n_pow, single.size), dtype=complex)
+    g = np.empty(n_pow, dtype=complex)
+    for p in range(n_pow):
+        pairs[p], singles[p], g[p] = power[low], power[single], power.sum()
+        power *= rot_h
     lags = np.subtract.outer(np.arange(n_pow), np.arange(n_pow))
     # row a: G(a - e) on the injections in row e, then F_a itself
     sums = np.hstack((np.tril(g[np.abs(lags)]), np.eye(n_pow)))
@@ -329,50 +358,61 @@ def _build_comb_tables(system: TransferSystem, dt: float):
         [g[2].conj(), g[1].conj(), g[0]],
     ]
     form[:3, 3:] = form[3:, :3] = np.eye(3)
-    tables = powers, g, sums, form
+    tables = pairs, pairs.conj(), singles, g, sums, form
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _block_map(step_map: np.ndarray, sums: np.ndarray, lengths):
+def _block_map(step_map: np.ndarray, sums: np.ndarray, singles: np.ndarray, lengths):
     """``_BLOCK`` = B steps of ``step_map`` as linear maps of one block input.
 
-    The input is z = (x1, x2, x3, F_0..F_2B), with F_p = sum_j rot_h_j^p
-    c_wj of the comb at the block start.  After k steps the comb is
-    rot_h^2k c + sum_p h_p rot_h^p, where q_i of step m sits at exponent
-    2 (k - m) - i, so the comb sums of step k are F_(2k+i) plus the kernel
+    The input is z = (e, x1, x2, x3, F_0..F_2B): the U single modes e
+    (rot_h^p of each is a column of ``singles``), the bright amplitudes,
+    and the pair read F_p at the block start, which is sum_j rot_h_j^p c_wj
+    over the paired modes divided by sqrt 2 (:func:`_advance`).  After k
+    steps the comb is rot_h^2k c + sum_p h_p rot_h^p, where q_i of step m
+    sits at exponent 2 (k - m) - i, so the comb sums of step k are the
+    whole comb's sums at the block start, index 2k + i, plus the kernel
     term sum_p h_p G(p + i) of the block's own injections: row 2k + i of
-    ``sums`` (:func:`_build_comb_tables`).  ``step_map`` is :func:`_step_map`,
-    whose outputs are (q0, q1, q2, x1, x2, x3).
+    ``sums`` (:func:`_build_comb_tables`).  ``step_map`` is
+    :func:`_step_map`, whose outputs are (q0, q1, q2, x1, x2, x3).
 
-    Returns ``steps`` (9 B, 2B + 4), whose nine rows for step k are the
+    Returns ``steps`` (9 B, U + 2B + 4), whose nine rows for step k are the
     bright amplitudes after it, its stage scalars (q0, q1, q2) and its comb
     sums (s0, s1, s2), and ``combs``, which maps each block length L in
-    ``lengths`` to the injections h (2B + 1, 2B + 4) after L steps.
+    ``lengths`` to the block's output (U + 2B + 4, U + 2B + 4) after L
+    steps: the single modes rot_h^2L e + sum_p h_p rot_h^p, the bright
+    amplitudes, and sqrt 2 h, the injections as the pairs take them.
     ``steps`` is causal: the first L steps of a block need only their
     first 9 L rows.
     """
     import numpy as np
 
     n_pow = 2 * _BLOCK + 1
-    width = 3 + n_pow
+    u = singles.shape[1]
+    width = u + 3 + n_pow
     # rows (q_(k-1), x_k, s_k) per step k: step k reads x_k and s_k as one
     # slice and writes (q_k, x_(k+1)) at the head of step k + 1's rows
     rows = np.zeros((_BLOCK + 1, 9, width), dtype=complex)
-    rows[0, 3:6, :3] = np.eye(3)
+    rows[0, 3:6, u : u + 3] = np.eye(3)
     # q_i of step m accumulates in row 2m + i, so h_p after k steps is row
-    # 2k - p; the rows below hold the unit inputs F_p
+    # 2k - p; the rows below hold the whole comb's sums at the block start
     chain = np.zeros((2 * n_pow, width), dtype=complex)
-    chain[n_pow:, 3:] = np.eye(n_pow)
+    chain[n_pow:, :u] = singles
+    chain[n_pow:, u + 3 :] = math.sqrt(2.0) * np.eye(n_pow)
     combs = {}
     for k in range(_BLOCK):
         np.matmul(sums[2 * k : 2 * k + 3], chain, out=rows[k, 6:])
         np.matmul(step_map, rows[k, 3:], out=rows[k + 1, :6])
         chain[2 * k : 2 * k + 3] += rows[k + 1, :3]
         if k + 1 in lengths:
-            combs[k + 1] = np.zeros((n_pow, width), dtype=complex)
-            combs[k + 1][: 2 * k + 3] = chain[2 * k + 2 :: -1]
+            h = chain[2 * k + 2 :: -1]
+            combs[k + 1] = carry = np.zeros((width, width), dtype=complex)
+            np.matmul(singles[: 2 * k + 3].T, h, out=carry[:u])
+            carry[:u, :u] += np.diag(singles[2 * k + 2])
+            carry[u : u + 3] = rows[k + 1, 3:6]
+            carry[u + 3 : u + 2 * k + 6] = math.sqrt(2.0) * h
     # step k's rows (x_(k+1), q_k, s_k) sit at 9 k + (12..14, 9..11, 6..8)
     order = 9 * np.arange(_BLOCK)[:, None] + [12, 13, 14, 9, 10, 11, 6, 7, 8]
     return rows.reshape(-1, width)[order.ravel()], combs
@@ -387,17 +427,24 @@ def _advance(
 ):
     """The stepping core: ``n_steps`` Lawson RK4 steps of ``dt`` from ``y``.
 
-    Runs in blocks of ``_BLOCK`` = B steps.  A block reads the comb once as
-    F = P c, where row p of the power table P is rot_h^p (p = 0..2B), one of
-    the tables a run shares with the runs before it on the same comb and
-    step (:func:`_comb_tables`); one precomputed map (:func:`_block_map`)
-    takes (x1, x2, x3, F) to the bright amplitudes, stage scalars and comb
-    sums of all its L steps, and the comb is written once as
-    c <- P[2L] c + h P.  The block writes those step rows
-    into a buffer of ``_CHUNK`` blocks and |c|^2 at its start (one
-    ``vdot``); nothing else is read while stepping.  When the buffer is
-    full, or the run ends, :func:`_read_chunk` turns the steps to record
-    into samples.
+    Runs in blocks of ``_BLOCK`` = B steps on the comb in its pair basis.
+    A conjugate pair (c_a, c_b) of modes (:func:`_pairing`) is held as
+    w = (conj(c_a) + c_b, i (conj(c_a) - c_b)) / sqrt 2, which keeps |c|^2
+    and turns by conj(rot_h_a) in both entries, and its comb sums
+    rot_h_a^p c_a + conj(rot_h_a^p) c_b are real products of w.  So a block
+    reads the paired comb once, as the real product of the table P of
+    rot_h^p (``pairs``) with w, and writes it once, as
+    w <- conj(P[2L]) w + sqrt 2 (Re h, Im h) conj(P), one more real
+    product; the modes without a partner ride in the block input.  The
+    tables are shared with the runs before it on the same comb and step
+    (:func:`_comb_tables`).  Two precomputed maps (:func:`_block_map`)
+    take the block input to the bright amplitudes, stage scalars and comb
+    sums of all its L steps, and to what the block carries over: the
+    single modes, the bright amplitudes and the injections h.  The block
+    writes those step rows into a buffer of ``_CHUNK`` blocks and |c|^2 at
+    its start (one ``vdot``); nothing else is read while stepping.  When
+    the buffer is full, or the run ends, :func:`_read_chunk` turns the
+    steps to record into samples.
 
     Returns the final amplitude vector and the samples ``(t, |c1|^2,
     |c2|^2, |c3|^2, survival, fidelity)``, one row each, at step 0, every
@@ -405,29 +452,52 @@ def _advance(
     """
     import numpy as np
 
-    powers, kernel, sums, form = _comb_tables(system, dt)
+    pairs, pairs_conj, singles, kernel, sums, form = _comb_tables(system, dt)
     # the comb injections are needed at the block lengths this run takes
     steps, combs = _block_map(
-        _step_map(system, dt, kernel[1]), sums, {min(_BLOCK, n_steps), n_steps % _BLOCK}
+        _step_map(system, dt, kernel[1]),
+        sums,
+        singles,
+        {min(_BLOCK, n_steps), n_steps % _BLOCK},
     )
+    # each block length's rotation, the same shape as w: a broadcast row
+    # multiplies at a third of the speed
+    turns = {size: np.tile(pairs_conj[2 * size], (2, 1)) for size in combs}
+    low, high, single = _pairing(system.mode_count)
+    u = single.size
 
-    z = np.empty(steps.shape[1], dtype=complex)
-    z[:3] = y[:3]
-    c = y[3:].copy()
+    # w, then the block input z = (e, x, F): (w, e) is the whole comb, whose
+    # |c|^2 is one vdot, and z[:u + 3] the amplitudes a block carries over
+    buffer = np.empty(2 * low.size + steps.shape[1], dtype=complex)
+    comb = buffer[: 2 * low.size + u]
+    w = buffer[: 2 * low.size].reshape(2, low.size)
+    z = buffer[2 * low.size :]
+    w_real, read = w.view(float), z[u + 3 :].view(float).reshape(-1, 2)
+    pairs_real, pairs_conj_real = pairs.view(float), pairs_conj.view(float)
+    carry = np.empty_like(z)
+    h_real, gain = carry[u + 3 :].view(float).reshape(-1, 2).T, np.empty_like(w_real)
+
+    c = y[3:]
+    w[0] = (c[low].conj() + c[high]) / math.sqrt(2.0)
+    w[1] = 1j * (c[low].conj() - c[high]) / math.sqrt(2.0)
+    z[:u], z[u : u + 3] = c[single], y[:3]
     chunk = np.empty((_CHUNK, 9 * _BLOCK), dtype=complex)
     norms = np.empty(_CHUNK)
-    p = np.abs(z[:3]) ** 2
-    fidelity = np.vdot(c, c).real
+    p = np.abs(y[:3]) ** 2
+    fidelity = np.vdot(comb, comb).real
     samples = [[[0.0, *p, p.sum() + fidelity, fidelity]]]
+    # np.dot: these products are small enough for np.matmul's dispatch to show
     for start in range(0, n_steps, _BLOCK):
         size = min(_BLOCK, n_steps - start)
         b = start // _BLOCK % _CHUNK
-        norms[b] = np.vdot(c, c).real
-        np.matmul(powers, c, out=z[3:])
-        np.matmul(steps, z, out=chunk[b])
-        np.multiply(c, powers[2 * size], out=c)
-        c += (combs[size] @ z) @ powers
-        z[:3] = chunk[b, 9 * size - 9 : 9 * size - 6]
+        norms[b] = np.vdot(comb, comb).real
+        np.dot(pairs_real, w_real.T, out=read)
+        np.dot(steps, z, out=chunk[b])
+        np.multiply(w, turns[size], out=w)
+        np.dot(combs[size], z, out=carry)
+        np.dot(h_real, pairs_conj_real, out=gain)
+        w_real += gain
+        z[: u + 3] = carry[: u + 3]
         if b == _CHUNK - 1 or start + size == n_steps:
             # steps first + 1 .. start + size ran in this chunk
             first = start - b * _BLOCK
@@ -439,8 +509,11 @@ def _advance(
             if picked.size:
                 times = (picked + (first + 1)) * dt
                 samples.append(_read_chunk(chunk, norms, form, picked, times))
-    y = np.concatenate((z[:3], c))
-    return y, np.concatenate(samples)
+    c = np.empty_like(c)
+    c[low] = (w[0] - 1j * w[1]).conj() / math.sqrt(2.0)
+    c[high] = (w[0] + 1j * w[1]) / math.sqrt(2.0)
+    c[single] = z[:u]
+    return np.concatenate((z[u : u + 3], c)), np.concatenate(samples)
 
 
 def _read_chunk(chunk, norms, form, picked, times):
@@ -498,17 +571,22 @@ def integrate(
 
     The step is shrunk so an integer number of steps lands exactly on
     ``duration`` (see :func:`step_plan`); populations are recorded every
-    ``record_every`` steps (the initial and final points always included).
+    ``record_every`` steps (the initial and final points always included),
+    an integer >= 1; one above the step count records those two alone.
     """
     import numpy as np
 
+    try:
+        record_every = operator.index(record_every)
+    except TypeError:
+        raise ConfigError(f"record_every must be an integer, not {record_every!r}") from None
     if record_every < 1:
         raise ConfigError("record_every must be >= 1")
     n_steps, dt = step_plan(system, duration)
     # the microwave photon loaded: c3 = 1, everything else empty
     y = np.zeros(system.size, dtype=complex)
     y[2] = 1.0
-    y, samples = _advance(system, y, dt, n_steps, record_every)
+    y, samples = _advance(system, y, dt, n_steps, min(record_every, n_steps + 1))
     return TrajectoryRecord(
         times=samples[:, 0],
         p_emitter=samples[:, 1],

@@ -90,15 +90,34 @@ SYSTEMS = {
         g_c=TWO_PI * 200e6, kappa=TWO_PI * 50e6,
         gamma_m=TWO_PI * 100e3, gamma_lc=TWO_PI * 100e3, temperature=0.05,
     ),
+    # the smallest combs: no pair (the zero-detuning and edge modes alone),
+    # then one pair and the edge mode
+    "two_modes": TransferSystem(
+        g_om=TWO_PI * 20e6, g_em=TWO_PI * 30e6, kappa=TWO_PI * 1e6,
+        gamma_m=TWO_PI * 1e6, gamma_lc=TWO_PI * 2e6,
+        mode_spacing=TWO_PI * 10e6, mode_count=2,
+    ),
+    "three_modes": TransferSystem(
+        g_om=TWO_PI * 20e6, g_em=TWO_PI * 30e6, kappa=TWO_PI * 1e6,
+        gamma_m=TWO_PI * 1e6, gamma_lc=TWO_PI * 2e6,
+        mode_spacing=TWO_PI * 10e6, mode_count=3,
+    ),
 }
 
 
-def start_state(system):
-    """Loaded microwave photon plus a populated comb, so the block read F matters."""
+def start_state(system, comb="all"):
+    """Loaded microwave photon plus a populated comb, so the block read F matters.
+
+    ``comb="single"`` populates only the modes without a conjugate partner:
+    the zero-detuning mode (even mode counts) and the top edge mode.
+    """
     rng = np.random.default_rng(system.mode_count)
     y = np.zeros(system.size, dtype=complex)
     y[1], y[2] = 0.3j, 0.8
     y[3:] = 0.02 * (rng.normal(size=system.mode_count) + 1j * rng.normal(size=system.mode_count))
+    if comb == "single":
+        detunings = system.detunings
+        y[3:][(detunings != 0.0) & (detunings != detunings.max())] = 0.0
     return y
 
 
@@ -111,13 +130,14 @@ def test_blocked_core_matches_per_step_loop(name, n_steps):
     if name == "paper_200mhz":
         assert system.mode_count == 2000
     dt = default_timestep(system)
-    y = start_state(system)
-    for record_every in (1, 7, n_steps + 1):
-        expected_y, expected = per_step_advance(system, y, dt, n_steps, record_every)
-        got_y, got = _advance(system, y, dt, n_steps, record_every)
-        assert np.max(np.abs(got_y - expected_y)) < 1e-12
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) < 1e-12, record_every
+    for comb in ("all", "single"):
+        y = start_state(system, comb)
+        for record_every in (1, 7, n_steps + 1):
+            expected_y, expected = per_step_advance(system, y, dt, n_steps, record_every)
+            got_y, got = _advance(system, y, dt, n_steps, record_every)
+            assert np.max(np.abs(got_y - expected_y)) < 1e-12, comb
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) < 1e-12, (comb, record_every)
 
 
 @pytest.mark.parametrize(

@@ -448,7 +448,7 @@ def held_tables():
 
 
 class TestCombTables:
-    """The power table, kernel sums, Toeplitz read and gain form of one comb and step."""
+    """The pair power tables, kernel sums, Toeplitz read and gain form of one comb and step."""
 
     def test_warm_run_equals_cold_run(self):
         # another temperature keeps the comb and the step, so the second
@@ -466,20 +466,40 @@ class TestCombTables:
 
     def test_other_comb_drops_the_held_tables(self, monkeypatch):
         integrate(benchmark_system(), 10e-9)
-        old = weakref.ref(held_tables()[0])
+        old = [weakref.ref(table) for table in held_tables()]
         build = dynamics._build_comb_tables
 
         def build_after_drop(system, dt):
-            # the held power table is freed before the new one is built
-            assert old() is None
+            # every held table is freed before the new ones are built
+            assert all(table() is None for table in old)
             return build(system, dt)
 
         monkeypatch.setattr(dynamics, "_build_comb_tables", build_after_drop)
         other = benchmark_system(g_c=TWO_PI * 200e6)
         assert other.mode_count == 2000
         integrate(other, 10e-9)
-        assert old() is None
-        assert held_tables()[0].shape == (2 * _BLOCK + 1, 2000)
+        assert all(table() is None for table in old)
+        # 999 conjugate pairs, plus the zero-detuning and edge modes
+        pairs, pairs_conj, singles = held_tables()[:3]
+        assert pairs.shape == pairs_conj.shape == (2 * _BLOCK + 1, 999)
+        assert singles.shape == (2 * _BLOCK + 1, 2)
+
+    @pytest.mark.parametrize("mode_count", [500, 501, 2000])
+    def test_tables_fit_in_one_complex_power_table(self, mode_count):
+        # the pair tables take no more than one complex table of 2B + 1 rows
+        # of the comb length; the other tables are no larger than those of
+        # the two-mode comb, whose two modes are both single
+        def tables(mode_count):
+            system = TransferSystem(
+                g_om=G50, g_em=G50, kappa=TWO_PI * 0.1e6, gamma_m=0.0, gamma_lc=0.0,
+                mode_spacing=TWO_PI * 1e6, mode_count=mode_count,
+            )
+            return dynamics._build_comb_tables(system, 1e-10)
+
+        pairs, pairs_conj, *small = tables(mode_count)
+        assert pairs.nbytes + pairs_conj.nbytes <= (2 * _BLOCK + 1) * mode_count * 16
+        for table, bound in zip(small, tables(2)[2:]):
+            assert table.nbytes <= bound.nbytes
 
     def test_tables_are_read_only(self):
         integrate(benchmark_system(), 10e-9)
@@ -490,6 +510,22 @@ class TestCombTables:
 
 
 class TestIntegrate:
+    def test_record_every_must_be_an_integer(self):
+        for record_every in (2.5, "3", None):
+            with pytest.raises(ConfigError, match="integer"):
+                integrate(benchmark_system(), 10e-9, record_every=record_every)
+        assert len(integrate(benchmark_system(), 10e-9, record_every=np.int64(7)).times) > 2
+
+    def test_record_every_past_the_run_records_its_ends(self):
+        system = benchmark_system()
+        n_steps, _ = step_plan(system, 10e-9)
+        last = integrate(system, 10e-9, record_every=n_steps + 1)
+        for record_every in (n_steps + 2, 10 ** 30):
+            record = integrate(system, 10e-9, record_every=record_every)
+            assert len(record.times) == 2
+            for a, b in zip(record, last):
+                assert np.array_equal(a, b)
+
     def test_zero_duration(self):
         record = integrate(benchmark_system(), 0.0)
         assert len(record.times) == 1
