@@ -17,21 +17,20 @@ from typing import NamedTuple
 
 from .constants import EPSILON_0, HBAR
 from .errors import TuningError
-from .mechanics import MembraneGeometry, OperatingPoint
+from .mechanics import ElectrostaticEnvironment, MembraneGeometry, OperatingPoint
 
 DEFAULT_INDUCTANCE = 1e-6        # H
 
 
 class CircuitParams(NamedTuple):
-    """The tuned resonator at one operating point, as the coupling rate reads it.
+    """What matching decides of the resonator at one operating point.
 
-    The resonator's loss is not a circuit element here: the transfer runs
-    take it as the rate ``[simulation] gamma_lc_hz``.
+    The gap and the bias stay in the :class:`ElectrostaticEnvironment`.  The
+    resonator's loss is not a circuit element here: the transfer runs take
+    it as the rate ``[simulation] gamma_lc_hz``.
     """
 
     tuning_capacitance: float    # F, fixed capacitor in parallel with the membrane
-    gap: float                   # m, undeflected membrane-to-electrode distance
-    bias_voltage: float          # V
     q_zpf: float                 # C, charge zero-point fluctuation
 
 
@@ -85,7 +84,6 @@ def matched_circuit(
     geom: MembraneGeometry,
     op_point: OperatingPoint,
     gap: float,
-    bias_voltage: float,
     inductance: float = DEFAULT_INDUCTANCE,
 ) -> CircuitParams:
     """Build the resonator with C0 tuned so the LC mode matches the membrane.
@@ -97,14 +95,15 @@ def matched_circuit(
     c_m = membrane_capacitance(geom, gap, op_point.deflection)
     return CircuitParams(
         tuning_capacitance=tune_capacitor(inductance, omega, c_m),
-        gap=gap,
-        bias_voltage=bias_voltage,
         q_zpf=charge_zero_point(inductance, omega),
     )
 
 
 def electromechanical_coupling(
-    op_point: OperatingPoint, circuit: CircuitParams, geom: MembraneGeometry
+    op_point: OperatingPoint,
+    circuit: CircuitParams,
+    geom: MembraneGeometry,
+    env: ElectrostaticEnvironment,
 ) -> float:
     """Single-photon electromechanical coupling g_em (rad/s) at the operating point.
 
@@ -117,12 +116,12 @@ def electromechanical_coupling(
     The magnitude of the gradient is used; the phase convention is absorbed
     into the bilinear coupling term.  g_em vanishes identically at zero bias.
     """
-    c_m = membrane_capacitance(geom, circuit.gap, op_point.deflection)
+    c_m = membrane_capacitance(geom, env.gap, op_point.deflection)
     c_total = c_m + circuit.tuning_capacitance
-    static_charge = circuit.bias_voltage * c_total
+    static_charge = env.bias_voltage * c_total
     gradient = (
         static_charge
-        * capacitance_gradient(geom, circuit.gap, op_point.deflection)
+        * capacitance_gradient(geom, env.gap, op_point.deflection)
         / c_total ** 2
     )
     return gradient * op_point.x_zpf * circuit.q_zpf / HBAR

@@ -24,13 +24,13 @@ Hochbruck & Ostermann, Acta Numerica 19:209, 2010): the diagonal comb
 rotation exp(-i (j - N/2) delta_w t) and the decay exp(-Gamma t / 2) of
 the phonon and circuit amplitudes are applied exactly, and the classical
 RK4 stages see only the couplings, so the step is set by them rather than
-by the comb bandwidth or a loss rate.  The default step is
-0.03 / max(g_om, g_em, kappa), capped at :func:`max_timestep`; 0.03 is
-where the norm-drift gate binds (lossless, 1 us, 1000 modes: drift 1.5e-9
-against 1e-8, where 0.05 gives 1.9e-8).  :func:`integrate` is the one
-trajectory entry point over the stepping core :func:`_advance`.  A run is
-valid only while it stays clear of the discretization revival time
-2 pi / delta_w.
+by the comb bandwidth or a loss rate.  The default step
+(:func:`default_timestep`) is 0.03 / max(g_om, g_em, kappa), capped at
+0.05 * 2 pi / half_bandwidth; 0.03 is where the norm-drift gate binds
+(lossless, 1 us, 1000 modes: drift 1.5e-9 against 1e-8, where 0.05 gives
+1.9e-8).  :func:`integrate` is the one trajectory entry point over the
+stepping core :func:`_advance`.  A run is valid only while it stays clear
+of the discretization revival time 2 pi / delta_w.
 
 The scheme is linear and the same at every step, so the core composes
 16 steps into one precomputed block map: a block reads the comb once
@@ -181,22 +181,14 @@ class TransferSystem(NamedTuple):
         return self.mode_count + 3
 
 
-def max_timestep(system: TransferSystem) -> float:
-    """Cap on the step (s).
-
-    The comb rotation is exact, but the stages sample the emitter's drive
-    of every mode, which must stay resolved at the fastest detuning:
-    0.05 * 2 pi / half_bandwidth.
-    """
-    return MAX_STEP_FRACTION * TWO_PI / system.half_bandwidth
-
-
 def default_timestep(system: TransferSystem) -> float:
     """Fixed step of every trajectory, before :func:`step_plan` shrinks it (s).
 
-    ``0.03 / max(g_om, g_em, kappa)``, capped at :func:`max_timestep`.
+    ``0.03 / max(g_om, g_em, kappa)``, capped at 0.05 * 2 pi / half_bandwidth:
+    the comb rotation is exact, but the stages sample the emitter's drive of
+    every mode, which must stay resolved at the fastest detuning.
     """
-    bound = max_timestep(system)
+    bound = MAX_STEP_FRACTION * TWO_PI / system.half_bandwidth
     rate = max(system.g_om, system.g_em, system.kappa)
     return min(_DT_RATE_FRACTION / rate, bound) if rate > 0 else bound
 

@@ -115,7 +115,6 @@ class OperatingPoint(NamedTuple):
     deflection: float       # m, midpoint displacement toward the electrode
     tension: float          # N, pre-tension plus deflection-induced tension
     mech_frequency: float   # rad/s, fundamental mode at this tension
-    effective_mass: float   # kg
     x_zpf: float            # m, zero-point amplitude of the mode
 
 
@@ -238,7 +237,6 @@ def operating_point_at_deflection(
         deflection=deflection,
         tension=tension,
         mech_frequency=omega,
-        effective_mass=m_eff,
         x_zpf=zero_point_amplitude(m_eff, omega),
     )
 
@@ -356,7 +354,8 @@ def solve_equilibrium(
     u = x/d, with a = k3 d^2/k1 and b = eps0 w l V^2 / (2 k1 d^3), it reads
     f(u) = (u + a u^3)(1 - u)^2 = b.  f rises from 0 to one maximum at u* in
     (1/3, 3/5), the root of f' / (1 - u), and falls after it, so the stable
-    equilibrium is the only root of f - b on [0, u*].  u* depends on a
+    equilibrium is the only root of f - b on [0, u*]; at zero bias that is
+    u = 0, where the solve starts and ends.  u* depends on a
     alone, one value per geometry and gap, and is solved once per a
     (:func:`_fold`); the root is solved at every call.  Both come from
     Newton solves kept inside their brackets (bisection when a step leaves
@@ -376,9 +375,6 @@ def solve_equilibrium(
         ``OverflowError`` or ``ZeroDivisionError`` of the float operation
         that leaves it first.
     """
-    if env.bias_voltage == 0.0:
-        return operating_point_at_deflection(geom, 0.0)
-
     k1, k3 = _stiffness_coefficients(geom)
     d = env.gap
     a = k3 * d ** 2 / k1

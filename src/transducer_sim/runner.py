@@ -18,7 +18,7 @@ import math
 
 from . import circuit as circuit_mod
 from . import dynamics, mechanics
-from .config import SWEEP_UNITS, ExperimentConfig
+from .config import _SCHEMA, SWEEP_UNITS, ExperimentConfig
 from .constants import TWO_PI
 from .coupling import stark_coupling, strain_coupling
 from .errors import ConfigError, PullInError, TuningError
@@ -103,10 +103,8 @@ def _coupling_rates(config: ExperimentConfig, geom, env, op):
     Stark coupling of the emitter.  Raises ``TuningError`` where no
     capacitor matches, and ``FloatingPointError`` where a rate is not finite.
     """
-    circ = circuit_mod.matched_circuit(
-        geom, op, gap=env.gap, bias_voltage=env.bias_voltage, inductance=config.inductance
-    )
-    g_em = circuit_mod.electromechanical_coupling(op, circ, geom)
+    circ = circuit_mod.matched_circuit(geom, op, env.gap, config.inductance)
+    g_em = circuit_mod.electromechanical_coupling(op, circ, geom, env)
     g_om1 = strain_coupling(op, geom, config.emitter)
     g_om2 = stark_coupling(op, env, config.emitter)
     if not (math.isfinite(g_em) and math.isfinite(g_om1) and math.isfinite(g_om2)):
@@ -225,13 +223,17 @@ def _trajectory_info(system, duration: float) -> dict:
     }
 
 
+def _require(sim, *keys: str):
+    """Raise ``ConfigError`` for the first of the ``[simulation]`` ``keys`` left unset."""
+    for key in keys:
+        if getattr(sim, _SCHEMA["simulation"][key][0]) is None:
+            raise ConfigError("missing required field", "simulation", key)
+
+
 def run_transfer(config: ExperimentConfig) -> ResultTable:
     """Time series of the state populations for one transfer run."""
     sim = config.simulation
-    if sim.g_c is None:
-        raise ConfigError("missing required field", "simulation", "g_c_hz")
-    if sim.duration is None:
-        raise ConfigError("missing required field", "simulation", "duration_s")
+    _require(sim, "g_c_hz", "duration_s")
     system = _build_system(config, sim.g_c, sim.kappa, sim.temperature)
     info = _trajectory_info(system, sim.duration)
     record = dynamics.integrate(
@@ -262,13 +264,11 @@ def run_environment_scan(config: ExperimentConfig) -> ResultTable:
 
     def row(variable, value):
         # the run's own fields, checked after the sweep (at its first point)
-        if sim.duration is None:
-            raise ConfigError("missing required field", "simulation", "duration_s")
         if variable == "temperature":
-            if sim.g_c is None:
-                raise ConfigError("missing required field", "simulation", "g_c_hz")
+            _require(sim, "duration_s", "g_c_hz")
             g_c, kappa, temperature = sim.g_c, sim.kappa, value
         else:
+            _require(sim, "duration_s")
             kappa = TWO_PI * value
             g_c, temperature = kappa, sim.temperature
         system = _build_system(config, g_c, kappa, temperature)

@@ -72,21 +72,21 @@ class TestElectromechanicalCoupling:
     def test_zero_bias_gives_zero(self, geometry):
         env = ElectrostaticEnvironment(gap=10e-9, bias_voltage=0.0)
         op = solve_equilibrium(geometry, env)
-        circ = matched_circuit(geometry, op, gap=10e-9, bias_voltage=0.0)
-        assert electromechanical_coupling(op, circ, geometry) == 0.0
+        circ = matched_circuit(geometry, op, gap=10e-9)
+        assert electromechanical_coupling(op, circ, geometry, env) == 0.0
 
     def test_benchmark_bias(self, geometry, environment):
         op = solve_equilibrium(geometry, environment)
-        circ = matched_circuit(geometry, op, gap=10e-9, bias_voltage=3.3)
-        g_em = electromechanical_coupling(op, circ, geometry)
+        circ = matched_circuit(geometry, op, gap=10e-9)
+        g_em = electromechanical_coupling(op, circ, geometry, environment)
         # within a factor 2 of the quoted ~250 MHz
         assert 125e6 < g_em / TWO_PI < 500e6
         assert g_em / TWO_PI == pytest.approx(300.83e6, rel=1e-3)  # regression pin
 
     def test_cooperativity(self, geometry, environment):
         op = solve_equilibrium(geometry, environment)
-        circ = matched_circuit(geometry, op, gap=10e-9, bias_voltage=3.3)
-        g_em = electromechanical_coupling(op, circ, geometry)
+        circ = matched_circuit(geometry, op, gap=10e-9)
+        g_em = electromechanical_coupling(op, circ, geometry, environment)
         gamma = TWO_PI * 100e3
         coop = g_em ** 2 / (gamma * gamma)
         assert 2e6 < coop < 1.8e7  # within a factor 3 of 6e6
@@ -95,12 +95,12 @@ class TestElectromechanicalCoupling:
         # G x_zpf q_zpf is an energy; dividing by hbar gives the rate, with
         # G = qbar C_m' / C^2, qbar = V C and C_m' = C_m / (gap - x)
         op = solve_equilibrium(geometry, environment)
-        circ = matched_circuit(geometry, op, gap=10e-9, bias_voltage=3.3)
+        circ = matched_circuit(geometry, op, gap=10e-9)
         c_m = membrane_capacitance(geometry, 10e-9, op.deflection)
         c_total = c_m + circ.tuning_capacitance
         gradient = 3.3 * c_total * (c_m / (10e-9 - op.deflection)) / c_total ** 2
         energy = gradient * op.x_zpf * circ.q_zpf
-        g_em = electromechanical_coupling(op, circ, geometry)
+        g_em = electromechanical_coupling(op, circ, geometry, environment)
         assert g_em == pytest.approx(energy / HBAR, rel=1e-12)
 
     def test_monotone_in_bias(self, geometry):
@@ -108,15 +108,15 @@ class TestElectromechanicalCoupling:
         for v in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.3):
             env = ElectrostaticEnvironment(gap=10e-9, bias_voltage=v)
             op = solve_equilibrium(geometry, env)
-            circ = matched_circuit(geometry, op, gap=10e-9, bias_voltage=v)
-            rates.append(electromechanical_coupling(op, circ, geometry))
+            circ = matched_circuit(geometry, op, gap=10e-9)
+            rates.append(electromechanical_coupling(op, circ, geometry, env))
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
 
 class TestMatchedCircuit:
     def test_resonance_and_zero_point(self, geometry, environment):
         op = solve_equilibrium(geometry, environment)
-        circ = matched_circuit(geometry, op, gap=10e-9, bias_voltage=3.3)
+        circ = matched_circuit(geometry, op, gap=10e-9)
         c_m = membrane_capacitance(geometry, 10e-9, op.deflection)
         # the default inductance is 1 uH
         resonance = 1.0 / math.sqrt(1e-6 * (c_m + circ.tuning_capacitance))

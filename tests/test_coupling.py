@@ -53,7 +53,6 @@ class TestStrainCoupling:
             deflection=3e-9,
             tension=base.tension,
             mech_frequency=base.mech_frequency,
-            effective_mass=base.effective_mass,
             x_zpf=base.x_zpf,
         )
         assert strain_coupling(scaled, geometry, emitter) == pytest.approx(

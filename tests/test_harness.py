@@ -754,6 +754,29 @@ class TestCli:
         assert "leave the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, variable, value",
+        [
+            ("mechanics", "bias_voltage", 0.0),
+            ("mechanics", "bias_voltage", 1e-3),
+            ("couplings", "bias_voltage", 0.0),
+            ("couplings", "bias_voltage", 1e-3),
+            ("couplings", "displacement", 0.0),
+        ],
+    )
+    def test_overflowing_stiffness_at_one_point_exits_2(
+        self, tmp_path, capsys, command, variable, value
+    ):
+        # a 1e103 m sheet overflows its stiffness: 0 V is refused like 1 mV
+        # and a 0 m displacement, where it wrote an ok row (mechanics) or a
+        # tuning_error row (couplings)
+        text = set_key(MINIMAL, "geometry", "thickness_m", "1e103")
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(text + sweep(variable, value, value, points=1))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"statics at {variable} = {value:g} leave the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_log_range_past_the_float_range_exits_2(self, tmp_path, capsys):
         # stop / start = 3.3e309 overflows; every point after the first was inf
         text = read_config("mechanics_thickness_sweep.ini").replace(
