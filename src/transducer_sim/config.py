@@ -213,7 +213,11 @@ def _value(section, key, raw, convert):
     # nan slips through every range check written as a comparison
     if parse is float and not math.isfinite(value):
         raise ConfigError(f"not a finite number: {raw!r}", section, key)
-    return convert(value)
+    value = convert(value)
+    # a finite value can leave the float range in its unit conversion
+    if parse is float and not math.isfinite(value):
+        raise ConfigError(f"not finite once converted to SI units: {raw!r}", section, key)
+    return value
 
 
 def _circuit(gap, bias_voltage, inductance=DEFAULT_INDUCTANCE):

@@ -83,6 +83,10 @@ _DT_RATE_FRACTION = 0.03
 #: keep runs clear of the revival of the discretized photon comb
 _REVIVAL_SAFETY = 0.95
 
+#: least half-bandwidth of the photon comb, in units of the optical decay
+#: kappa: the comb must be much wider than the emission line it absorbs
+_BANDWIDTH_KAPPAS = 5.0
+
 #: most steps one run may plan; at ~3 us per step (500-2000 modes, 2-vCPU
 #: Xeon VM) this is ~5 min.  On the comb that make_transfer_system derives,
 #: a run short of its revival plans at most about 7.0e7 steps (0.95 revival
@@ -145,12 +149,12 @@ class TransferSystem(NamedTuple):
             )
         if not math.isfinite(self.half_bandwidth):
             raise ConfigError("photon bandwidth N delta_w / 2 must be finite")
-        # the comb must be much wider than the emission line it absorbs
-        if self.half_bandwidth < 5.0 * self.kappa * (1.0 - 1e-12):
+        floor = _BANDWIDTH_KAPPAS * self.kappa
+        if self.half_bandwidth < floor * (1.0 - 1e-12):
             raise ConfigError(
                 f"photon bandwidth {self.half_bandwidth:.3e} rad/s is below "
-                f"5 kappa = {5 * self.kappa:.3e} rad/s; increase mode_count "
-                f"or mode_spacing"
+                f"{_BANDWIDTH_KAPPAS:g} kappa = {floor:.3e} rad/s; increase "
+                f"mode_count or mode_spacing"
             )
 
     @property
@@ -439,8 +443,9 @@ def _advance(
     steps to record into samples.
 
     Returns the final amplitude vector and the samples ``(t, |c1|^2,
-    |c2|^2, |c3|^2, survival, fidelity)``, one row each, at step 0, every
-    ``record_every`` (>= 1) steps and the last step.
+    |c2|^2, |c3|^2, survival, fidelity)``, one row each, at step 0 and at
+    each step i with ``i % record_every == 0 or i == n_steps``
+    (``record_every`` >= 1).
     """
     import numpy as np
 
@@ -491,16 +496,10 @@ def _advance(
         w_real += gain
         z[: u + 3] = carry[: u + 3]
         if b == _CHUNK - 1 or start + size == n_steps:
-            # steps first + 1 .. start + size ran in this chunk
-            first = start - b * _BLOCK
-            picked = np.arange(
-                record_every - 1 - first % record_every, start + size - first, record_every
-            )
-            if start + size == n_steps and n_steps % record_every:
-                picked = np.append(picked, n_steps - 1 - first)
+            ran = np.arange(start - b * _BLOCK + 1, start + size + 1)
+            picked = np.flatnonzero((ran % record_every == 0) | (ran == n_steps))
             if picked.size:
-                times = (picked + (first + 1)) * dt
-                samples.append(_read_chunk(chunk, norms, form, picked, times))
+                samples.append(_read_chunk(chunk, norms, form, picked, ran[picked] * dt))
     c = np.empty_like(c)
     c[low] = (w[0] - 1j * w[1]).conj() / math.sqrt(2.0)
     c[high] = (w[0] + 1j * w[1]) / math.sqrt(2.0)
@@ -578,16 +577,9 @@ def integrate(
     # the microwave photon loaded: c3 = 1, everything else empty
     y = np.zeros(system.size, dtype=complex)
     y[2] = 1.0
+    # the clamp keeps the stride's modulus inside int64 for any stride
     y, samples = _advance(system, y, dt, n_steps, min(record_every, n_steps + 1))
-    return TrajectoryRecord(
-        times=samples[:, 0],
-        p_emitter=samples[:, 1],
-        p_phonon=samples[:, 2],
-        p_circuit=samples[:, 3],
-        survival=samples[:, 4],
-        fidelity=samples[:, 5],
-        final_amplitudes=y,
-    )
+    return TrajectoryRecord(*samples.T, final_amplitudes=y)
 
 
 def default_discretization(g_max: float, kappa: float):
@@ -611,7 +603,7 @@ def default_discretization(g_max: float, kappa: float):
         spacing, count = TWO_PI * 1e6, 500
     else:
         spacing, count = TWO_PI * 1e6, 2000
-    required = max(5.0 * kappa, math.sqrt(2.0) * g_max + 3.5 * kappa)
+    required = max(_BANDWIDTH_KAPPAS * kappa, math.sqrt(2.0) * g_max + 3.5 * kappa)
     n_min = 2.0 * required / spacing
     # the negated test also refuses inf and NaN, which math.ceil cannot take
     if not n_min <= MAX_MODE_COUNT:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from transducer_sim import TransferSystem, make_transfer_system
 from transducer_sim.dynamics import _BLOCK, _CHUNK, _advance, default_timestep
@@ -158,3 +160,25 @@ def test_chunk_edges_match_per_step_loop(n_steps):
         assert np.max(np.abs(got_y - expected_y)) < 1e-12
         assert got.shape == (len(picked), 6)
         assert np.max(np.abs(got - every_step[picked])) < 1e-12, record_every
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 3 * _BLOCK * _CHUNK).flatmap(
+        lambda n_steps: st.tuples(st.just(n_steps), st.integers(1, n_steps + 1))
+    )
+)
+# strides that divide a chunk, divide the run, or fall just short of a chunk
+@example((3 * _BLOCK * _CHUNK, _BLOCK * _CHUNK))
+@example((2 * _BLOCK * _CHUNK, _BLOCK * _CHUNK // 2))
+@example((3000, 600))
+@example((3 * _BLOCK * _CHUNK, _BLOCK * _CHUNK - 1))
+def test_recorded_steps_follow_the_reference_rule(plan):
+    # the reference loop records step i when i % record_every == 0 or
+    # i == n_steps, after step 0
+    n_steps, record_every = plan
+    system = SYSTEMS["two_modes"]
+    dt = default_timestep(system)
+    _, got = _advance(system, start_state(system), dt, n_steps, record_every)
+    steps = {0, n_steps} | set(range(record_every, n_steps + 1, record_every))
+    np.testing.assert_array_equal(got[:, 0], np.array(sorted(steps)) * dt)

@@ -7,10 +7,13 @@ the outputs alone is checked here instead of by hand with ``cmp``.  The
 statics configs must also match byte for byte: their rows come from
 scalar float arithmetic alone, with no numpy and no step size, so any
 moved bit is a changed solve.  A change that moves an output on purpose
-rewrites the golden file and says why.
+rewrites the golden file and says why.  The CI workflow reruns the same
+configs after installing the run-time dependencies alone; its steps are
+read here, so they name every golden file and no missing one.
 """
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from transducer_sim.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 #: bundled config -> the subcommand it is written for
 COMMANDS = {
@@ -81,3 +85,44 @@ def test_bundled_config_matches_golden(tmp_path, name):
         assert not bad, f"row {i}, columns {bad}: {want} != {have}"
     if name in STATICS:
         assert out.read_bytes() == golden.read_bytes()
+
+
+#: the lines of a ``runtime-deps`` step that runs ``configs/$name.ini`` and
+#: checks its CSV against ``tests/golden/$name.csv``, whole or by header
+RUN_LINE = 'transducer-sim "$command" --config "configs/$name.ini" --out "$RUNNER_TEMP/$name.csv"'
+CHECK_LINES = {
+    "cmp": 'cmp "$RUNNER_TEMP/$name.csv" "tests/golden/$name.csv"',
+    "diff": """diff <(grep '^#' "$RUNNER_TEMP/$name.csv") <(grep '^#' "tests/golden/$name.csv")""",
+}
+
+
+def runtime_deps_runs():
+    """``{check: {config name: command}}`` of the workflow's ``runtime-deps`` job.
+
+    Each of its steps that loops over ``command:name`` pairs runs
+    :data:`RUN_LINE` and one of :data:`CHECK_LINES`.
+    """
+    job = re.search(r"^  runtime-deps:\n(.*?)(?=^  \S|\Z)", WORKFLOW.read_text(), re.M | re.S)
+    assert job, "no runtime-deps job"
+    runs = {check: {} for check in CHECK_LINES}
+    for step in re.split(r"^ +- name: ", job.group(1), flags=re.M)[1:]:
+        loop = re.search(r"for run in ([^;]*); do", step)
+        if loop is None:
+            continue
+        lines = {line.strip() for line in step.splitlines()}
+        assert RUN_LINE in lines, step
+        (check,) = [check for check, line in CHECK_LINES.items() if line in lines]
+        for run in loop.group(1).split():
+            command, name = run.split(":")
+            runs[check][name] = command
+    return runs
+
+
+def test_ci_runs_every_golden_config():
+    runs = runtime_deps_runs()
+    for name in (*runs["cmp"], *runs["diff"]):
+        assert (ROOT / "configs" / f"{name}.ini").is_file(), name
+        assert (GOLDEN / f"{name}.csv").is_file(), name
+    goldens = {path.stem for path in GOLDEN.glob("*.csv")}
+    assert runs["cmp"] == {name: COMMANDS[name] for name in goldens & STATICS}
+    assert runs["diff"] == {name: COMMANDS[name] for name in goldens - STATICS}

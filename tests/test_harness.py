@@ -131,6 +131,22 @@ OVERFLOWING = {
     "explicit_comb_spacing_1e308": ("transfer", read_config("paper_defaults.ini")),
 }
 
+#: (command, bundled config, section, key, value) of a value that is finite
+#: as written but not once converted to SI units
+UNCONVERTIBLE = {
+    "mode_frequency_1e308": (
+        "scan", "scan_temperature.ini", "simulation", "mode_frequency_hz", "1e308"
+    ),
+    "zpl_wavelength_1e-320": (
+        "transfer", "paper_defaults.ini", "emitter", "zpl_wavelength_m", "1e-320"
+    ),
+    "optical_decay_1e308": (
+        "mechanics", "mechanics_voltage_sweep.ini", "emitter", "optical_decay_hz", "1e308"
+    ),
+    "g_c_1e308": ("transfer", "paper_defaults.ini", "simulation", "g_c_hz", "1e308"),
+    "kappa_1e308": ("transfer", "paper_defaults.ini", "simulation", "kappa_hz", "1e308"),
+}
+
 #: the ``explicit_comb`` cases run on a comb pinned in process, (spacing Hz, count)
 PINNED_COMBS = {
     "explicit_comb_g_c_1e308": (1e6, 500),
@@ -661,6 +677,22 @@ class TestCli:
         assert "[sweep] points" in capsys.readouterr().err
         text = MINIMAL + sweep("bias_voltage", 0, 1, MAX_SWEEP_POINTS)
         assert parse_config(text).sweep.points == MAX_SWEEP_POINTS
+
+    @pytest.mark.parametrize("case", sorted(UNCONVERTIBLE))
+    def test_value_leaving_float_range_in_conversion_exits_2(self, tmp_path, capsys, case):
+        # the first three exited 0: the scan wrote one row at every
+        # temperature, its occupation reading 0 at an infinite mode
+        # frequency; the rates exited 2 from the run, not the parser
+        command, name, section, key, value = UNCONVERTIBLE[case]
+        text = read_config(name)
+        if f"[{section}]" not in text:
+            text += f"\n[{section}]\n"
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        cfg.write_text(set_key(text, section, key, value))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: [{section}] {key}: not finite once converted" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(OVERFLOWING))
     def test_overflowing_rates_exit_2(self, tmp_path, monkeypatch, capsys, case):
