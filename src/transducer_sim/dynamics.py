@@ -46,13 +46,12 @@ two pair power tables, the kernel sums, the Toeplitz read of the block
 map and the fidelity form) is built once per (mode_spacing, mode_count,
 dt) and held, read-only, until a run on another comb or step, so the
 points of a scan on one comb share it; each run builds only its block
-map, in three array operations per step.  Every run records: a block
-also takes the squared comb norm at its start (one ``vdot``), from
-which, with the block's step rows, the fidelity of each of its steps
-follows.  The blocks write their step rows into a buffer of 64 blocks,
-which is read into samples by one vectorised pass when it is full or the
-run ends: the loop only steps, and the buffer stays the same size
-however long the run.
+map, in three array operations per step.  Every run records: the blocks
+write their step rows into a buffer of 64 blocks, read into samples in
+one vectorised pass when it is full or the run ends, and a step's
+fidelity is the squared comb norm at the buffer's start (one ``vdot``)
+plus the gains of the steps up to it.  So a block makes six array
+operations, and the buffer's size is the same however long the run.
 
 numpy is imported by the functions that build and step a trajectory, not
 when this module loads, so a process that runs only the statics loads the
@@ -68,7 +67,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .constants import TWO_PI
 from .coupling import thermal_occupation
 from .errors import ConfigError
-from .records import checked
+from .records import checked, require_numbers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,9 +103,9 @@ MAX_MODE_COUNT = 10 ** 6
 #: comb products dominate
 _BLOCK = 16
 
-#: blocks whose step rows are buffered before they are read into samples;
-#: the buffer holds _CHUNK x 9 _BLOCK complex numbers (147 kB), and the
-#: bound keeps a long run's memory flat
+#: blocks whose step rows are buffered before they are read into samples
+#: (_CHUNK x 9 _BLOCK complex numbers, 147 kB: the bound keeps a long run's
+#: memory flat); even, so each chunk starts on _advance's first block input
 _CHUNK = 64
 
 
@@ -128,6 +127,7 @@ class TransferSystem(NamedTuple):
     mode_count: int
 
     def _check(self):
+        require_numbers(self, ConfigError, self._fields[:-1], ("mode_count",))
         rates = (self.g_om, self.g_em, self.kappa, self.gamma_m, self.gamma_lc)
         if not all(map(math.isfinite, rates)):
             raise ConfigError(
@@ -303,7 +303,8 @@ def _pairing(mode_count: int):
 
     n_pairs = (mode_count - 1) // 2
     low = np.arange(n_pairs)
-    return low, mode_count - 2 - low, np.r_[n_pairs : mode_count - 1 - n_pairs, mode_count - 1]
+    single = [*range(n_pairs, mode_count - 1 - n_pairs), mode_count - 1]
+    return low, mode_count - 2 - low, np.array(single)
 
 
 def _comb_tables(system: TransferSystem, dt: float):
@@ -391,27 +392,27 @@ def _block_map(step_map: np.ndarray, sums: np.ndarray, singles: np.ndarray, leng
     # rows (q_(k-1), x_k, s_k) per step k: step k reads x_k and s_k as one
     # slice and writes (q_k, x_(k+1)) at the head of step k + 1's rows
     rows = np.zeros((_BLOCK + 1, 9, width), dtype=complex)
-    rows[0, 3:6, u : u + 3] = np.eye(3)
+    np.fill_diagonal(rows[0, 3:6, u : u + 3], 1.0)
     # q_i of step m accumulates in row 2m + i, so h_p after k steps is row
     # 2k - p; the rows below hold the whole comb's sums at the block start
     chain = np.zeros((2 * n_pow, width), dtype=complex)
     chain[n_pow:, :u] = singles
-    chain[n_pow:, u + 3 :] = math.sqrt(2.0) * np.eye(n_pow)
+    np.fill_diagonal(chain[n_pow:, u + 3 :], math.sqrt(2.0))
     combs = {}
     for k in range(_BLOCK):
-        np.matmul(sums[2 * k : 2 * k + 3], chain, out=rows[k, 6:])
-        np.matmul(step_map, rows[k, 3:], out=rows[k + 1, :6])
+        np.dot(sums[2 * k : 2 * k + 3], chain, out=rows[k, 6:])
+        np.dot(step_map, rows[k, 3:], out=rows[k + 1, :6])
         chain[2 * k : 2 * k + 3] += rows[k + 1, :3]
         if k + 1 in lengths:
             h = chain[2 * k + 2 :: -1]
             combs[k + 1] = carry = np.zeros((width, width), dtype=complex)
             np.matmul(singles[: 2 * k + 3].T, h, out=carry[:u])
-            carry[:u, :u] += np.diag(singles[2 * k + 2])
+            carry[:u, :u].flat[:: u + 1] += singles[2 * k + 2]
             carry[u : u + 3] = rows[k + 1, 3:6]
             carry[u + 3 : u + 2 * k + 6] = math.sqrt(2.0) * h
-    # step k's rows (x_(k+1), q_k, s_k) sit at 9 k + (12..14, 9..11, 6..8)
-    order = 9 * np.arange(_BLOCK)[:, None] + [12, 13, 14, 9, 10, 11, 6, 7, 8]
-    return rows.reshape(-1, width)[order.ravel()], combs
+    # step k's rows in the order (x_(k+1), q_k, s_k)
+    order = rows[1:, 3:6], rows[1:, :3], rows[:-1, 6:]
+    return np.concatenate(order, axis=1).reshape(-1, width), combs
 
 
 def _advance(
@@ -437,10 +438,9 @@ def _advance(
     take the block input to the bright amplitudes, stage scalars and comb
     sums of all its L steps, and to what the block carries over: the
     single modes, the bright amplitudes and the injections h.  The block
-    writes those step rows into a buffer of ``_CHUNK`` blocks and |c|^2 at
-    its start (one ``vdot``); nothing else is read while stepping.  When
-    the buffer is full, or the run ends, :func:`_read_chunk` turns the
-    steps to record into samples.
+    writes those step rows into a buffer of ``_CHUNK`` blocks, the first of
+    which also takes |c|^2 (one ``vdot``); nothing else is read while
+    stepping.  A full buffer, or the last, is read by :func:`_read_chunk`.
 
     Returns the final amplitude vector and the samples ``(t, |c1|^2,
     |c2|^2, |c3|^2, survival, fidelity)``, one row each, at step 0 and at
@@ -459,75 +459,75 @@ def _advance(
     )
     # each block length's rotation, the same shape as w: a broadcast row
     # multiplies at a third of the speed
-    turns = {size: np.tile(pairs_conj[2 * size], (2, 1)) for size in combs}
+    turns = {size: pairs_conj[2 * size][None].repeat(2, 0) for size in combs}
     low, high, single = _pairing(system.mode_count)
-    u = single.size
+    u, n_w = single.size, 2 * low.size
 
-    # w, then the block input z = (e, x, F): (w, e) is the whole comb, whose
-    # |c|^2 is one vdot, and z[:u + 3] the amplitudes a block carries over
-    buffer = np.empty(2 * low.size + steps.shape[1], dtype=complex)
-    comb = buffer[: 2 * low.size + u]
-    w = buffer[: 2 * low.size].reshape(2, low.size)
-    z = buffer[2 * low.size :]
-    w_real, read = w.view(float), z[u + 3 :].view(float).reshape(-1, 2)
+    # w, then two block inputs z = (e, x, F) that the blocks take in turn:
+    # a block's carry product writes (e, x, sqrt 2 h) into the other, whose
+    # F slot the write product reads h from before the next block's read
+    # overwrites it.  With the first, (w, e) is the whole comb
+    buffer = np.empty(n_w + 2 * steps.shape[1], dtype=complex)
+    comb, w = buffer[: n_w + u], buffer[:n_w].reshape(2, low.size)
+    here, there = [
+        (z, f := z[u + 3 :].view(float).reshape(-1, 2), f.T) for z in np.split(buffer[n_w:], 2)
+    ]
+    w_real = w.view(float)
+    w_cols, gain = w_real.T, np.empty_like(w_real)
     pairs_real, pairs_conj_real = pairs.view(float), pairs_conj.view(float)
-    carry = np.empty_like(z)
-    h_real, gain = carry[u + 3 :].view(float).reshape(-1, 2).T, np.empty_like(w_real)
 
-    c = y[3:]
+    c, z = y[3:], here[0]
     w[0] = (c[low].conj() + c[high]) / math.sqrt(2.0)
     w[1] = 1j * (c[low].conj() - c[high]) / math.sqrt(2.0)
     z[:u], z[u : u + 3] = c[single], y[:3]
     chunk = np.empty((_CHUNK, 9 * _BLOCK), dtype=complex)
-    norms = np.empty(_CHUNK)
     p = np.abs(y[:3]) ** 2
-    fidelity = np.vdot(comb, comb).real
-    samples = [[[0.0, *p, p.sum() + fidelity, fidelity]]]
+    norm = np.vdot(comb, comb).real
+    samples = [[[0.0, *p, p.sum() + norm, norm]]]
     # np.dot: these products are small enough for np.matmul's dispatch to show
     for start in range(0, n_steps, _BLOCK):
         size = min(_BLOCK, n_steps - start)
         b = start // _BLOCK % _CHUNK
-        norms[b] = np.vdot(comb, comb).real
-        np.dot(pairs_real, w_real.T, out=read)
+        (z, read, _), (z_next, _, h) = here, there
+        if not b:
+            norm = np.vdot(comb, comb).real
+        np.dot(pairs_real, w_cols, out=read)
         np.dot(steps, z, out=chunk[b])
         np.multiply(w, turns[size], out=w)
-        np.dot(combs[size], z, out=carry)
-        np.dot(h_real, pairs_conj_real, out=gain)
+        np.dot(combs[size], z, out=z_next)
+        np.dot(h, pairs_conj_real, out=gain)
         w_real += gain
-        z[: u + 3] = carry[: u + 3]
+        here, there = there, here
         if b == _CHUNK - 1 or start + size == n_steps:
             ran = np.arange(start - b * _BLOCK + 1, start + size + 1)
             picked = np.flatnonzero((ran % record_every == 0) | (ran == n_steps))
             if picked.size:
-                samples.append(_read_chunk(chunk, norms, form, picked, ran[picked] * dt))
-    c = np.empty_like(c)
+                samples.append(_read_chunk(chunk, norm, form, picked, ran[picked] * dt))
+    c, z = np.empty_like(c), here[0]
     c[low] = (w[0] - 1j * w[1]).conj() / math.sqrt(2.0)
     c[high] = (w[0] + 1j * w[1]) / math.sqrt(2.0)
     c[single] = z[:u]
     return np.concatenate((z[u : u + 3], c)), np.concatenate(samples)
 
 
-def _read_chunk(chunk, norms, form, picked, times):
+def _read_chunk(chunk, norm, form, picked, times):
     """Sample rows ``(t, |c1|^2, |c2|^2, |c3|^2, survival, fidelity)`` of one chunk.
 
     ``chunk`` holds the step rows of consecutive blocks, nine per step: the
-    bright amplitudes, the stage scalars q and the comb sums s; ``norms``
-    holds |c|^2 at the start of each block.  ``picked`` indexes the steps
-    to record from the chunk's first, in rising order, and ``times`` are
-    their times.  Since |rot_h| = 1, a step raises |c|^2 by
-    2 Re(q . conj(s)) + q^H T q with T[a, b] = G(a - b), that is by
-    Re(u^H K u) for u = (q, s) (``form`` is K transposed), so a step's
-    fidelity is its block's start norm plus the gains of the block's steps
-    up to it.
+    bright amplitudes, the stage scalars q and the comb sums s; ``norm`` is
+    |c|^2 at the chunk's start.  ``picked`` indexes the steps to record
+    from the chunk's first, in rising order, and ``times`` are their times.
+    Since |rot_h| = 1, a step raises |c|^2 by 2 Re(q . conj(s)) + q^H T q
+    with T[a, b] = G(a - b), that is by Re(u^H K u) for u = (q, s)
+    (``form`` is K transposed), so a step's fidelity is the chunk's start
+    norm plus the gains of the chunk's steps up to it.
     """
     import numpy as np
 
-    n_blocks = picked[-1] // _BLOCK + 1
-    rows = chunk[:n_blocks].reshape(_BLOCK * n_blocks, 9)
+    rows = chunk.reshape(-1, 9)[: picked[-1] + 1]
     u = rows[:, 3:]
     gain = np.einsum("ij,ij->i", u.conj(), u @ form).real
-    fidelity = np.cumsum(gain.reshape(n_blocks, _BLOCK), axis=1) + norms[:n_blocks, None]
-    fidelity = fidelity.reshape(-1)[picked]
+    fidelity = norm + np.cumsum(gain)[picked]
     p = np.abs(rows[picked, :3]) ** 2
     return np.column_stack((times, p, p.sum(axis=1) + fidelity, fidelity))
 

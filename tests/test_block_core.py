@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transducer_sim import TransferSystem, make_transfer_system
-from transducer_sim.dynamics import _BLOCK, _CHUNK, _advance, default_timestep
+from transducer_sim.dynamics import _BLOCK, _CHUNK, _advance, _pairing, default_timestep
 
 from conftest import TWO_PI
 
@@ -182,3 +182,16 @@ def test_recorded_steps_follow_the_reference_rule(plan):
     _, got = _advance(system, start_state(system), dt, n_steps, record_every)
     steps = {0, n_steps} | set(range(record_every, n_steps + 1, record_every))
     np.testing.assert_array_equal(got[:, 0], np.array(sorted(steps)) * dt)
+
+
+def test_pairing_splits_every_comb_into_conjugate_pairs_and_singles():
+    for n in range(2, 201):
+        low, high, single = _pairing(n)
+        # each mode index once
+        assert sorted([*low, *high, *single]) == list(range(n)), n
+        # in units of delta_w, as TransferSystem.detunings
+        detunings = np.arange(1, n + 1) - n / 2.0
+        assert np.all(detunings[low] < 0), n
+        assert np.all(detunings[low] + detunings[high] == 0.0), n
+        # the zero-detuning mode (N even), then the top edge mode
+        assert detunings[single].tolist() == ([0.0] if n % 2 == 0 else []) + [n / 2.0], n

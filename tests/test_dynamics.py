@@ -26,6 +26,7 @@ from transducer_sim.dynamics import (
     MAX_STEP_FRACTION,
     MAX_STEPS,
     _BLOCK,
+    _CHUNK,
     _advance,
     step_plan,
 )
@@ -408,9 +409,20 @@ class TestObservables:
         drawdown = np.max(np.maximum.accumulate(record.fidelity) - record.fidelity)
         assert drawdown < 1e-4
 
-    def test_pulse_spectrum(self, record):
+    @pytest.mark.parametrize(
+        "system, duration, chunks",
+        [
+            (benchmark_system(), 150e-9, 2),
+            # the longest benchmark trajectory, the 5 MHz paper system over
+            # 2 us: 20 944 steps, over each chunk of which the fidelity is
+            # carried from the comb norm at its start
+            (benchmark_system(g_c=TWO_PI * 5e6), 2e-6, 21),
+        ],
+    )
+    def test_pulse_spectrum(self, system, duration, chunks):
         # the photon-mode populations versus detuning
-        system = benchmark_system()
+        record = integrate(system, duration)
+        assert -(-(len(record.times) - 1) // (_BLOCK * _CHUNK)) == chunks
         weights = np.abs(record.final_amplitudes[3:]) ** 2
         assert len(weights) == len(system.detunings) == system.mode_count
         assert weights.sum() == pytest.approx(record.fidelity[-1], abs=1e-12)

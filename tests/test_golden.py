@@ -88,11 +88,19 @@ def test_bundled_config_matches_golden(tmp_path, name):
 
 
 #: the lines of a ``runtime-deps`` step that runs ``configs/$name.ini`` and
-#: checks its CSV against ``tests/golden/$name.csv``, whole or by header
+#: checks its CSV against ``tests/golden/$name.csv``: whole, or by header,
+#: row count and, for a scan, its status column (the fifth)
 RUN_LINE = 'transducer-sim "$command" --config "configs/$name.ini" --out "$RUNNER_TEMP/$name.csv"'
 CHECK_LINES = {
-    "cmp": 'cmp "$RUNNER_TEMP/$name.csv" "tests/golden/$name.csv"',
-    "diff": """diff <(grep '^#' "$RUNNER_TEMP/$name.csv") <(grep '^#' "tests/golden/$name.csv")""",
+    "cmp": ('cmp "$RUNNER_TEMP/$name.csv" "tests/golden/$name.csv"',),
+    "diff": (
+        """diff <(grep '^#' "$RUNNER_TEMP/$name.csv") <(grep '^#' "tests/golden/$name.csv")""",
+        'diff <(wc -l < "$RUNNER_TEMP/$name.csv") <(wc -l < "tests/golden/$name.csv")',
+        'if [ "$command" = scan ]; then',
+        """diff <(grep -v '^#' "$RUNNER_TEMP/$name.csv" | cut -d, -f5) """
+        """<(grep -v '^#' "tests/golden/$name.csv" | cut -d, -f5)""",
+        "fi",
+    ),
 }
 
 
@@ -100,7 +108,7 @@ def runtime_deps_runs():
     """``{check: {config name: command}}`` of the workflow's ``runtime-deps`` job.
 
     Each of its steps that loops over ``command:name`` pairs runs
-    :data:`RUN_LINE` and one of :data:`CHECK_LINES`.
+    :data:`RUN_LINE` and all the lines of one of :data:`CHECK_LINES`.
     """
     job = re.search(r"^  runtime-deps:\n(.*?)(?=^  \S|\Z)", WORKFLOW.read_text(), re.M | re.S)
     assert job, "no runtime-deps job"
@@ -111,7 +119,9 @@ def runtime_deps_runs():
             continue
         lines = {line.strip() for line in step.splitlines()}
         assert RUN_LINE in lines, step
-        (check,) = [check for check, line in CHECK_LINES.items() if line in lines]
+        checks = [check for check, needed in CHECK_LINES.items() if lines >= set(needed)]
+        assert len(checks) == 1, step
+        (check,) = checks
         for run in loop.group(1).split():
             command, name = run.split(":")
             runs[check][name] = command
@@ -126,3 +136,8 @@ def test_ci_runs_every_golden_config():
     goldens = {path.stem for path in GOLDEN.glob("*.csv")}
     assert runs["cmp"] == {name: COMMANDS[name] for name in goldens & STATICS}
     assert runs["diff"] == {name: COMMANDS[name] for name in goldens - STATICS}
+    # the fifth column that the status check cuts is each scan's status
+    for name, command in runs["diff"].items():
+        lines = (GOLDEN / f"{name}.csv").read_text().splitlines()
+        columns = [line for line in lines if not line.startswith("#")][0]
+        assert (columns.split(",")[4] == "status") == (command == "scan"), name

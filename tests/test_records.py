@@ -9,6 +9,7 @@ another photon comb with it.
 
 import math
 
+import numpy as np
 import pytest
 
 from transducer_sim import (
@@ -19,6 +20,7 @@ from transducer_sim import (
     SimulationSettings,
     SweepSettings,
     TransferSystem,
+    integrate,
     parse_config,
 )
 
@@ -93,6 +95,40 @@ def test_check_runs_on_construction_and_replace(name):
     with pytest.raises(error) as copied:
         valid._replace(**{field: bad})
     assert str(copied.value) == message
+
+
+#: a count or number field of a record, a value of the wrong type for it,
+#: and the record's message; the record's own error names the field
+WRONG_TYPES = [
+    ("TransferSystem", "mode_count", 500.0, "mode_count must be an integer, not 500.0"),
+    ("TransferSystem", "mode_count", "500", "mode_count must be an integer, not '500'"),
+    ("TransferSystem", "g_om", "1", "g_om must be a number, not '1'"),
+    ("TransferSystem", "mode_spacing", None, "mode_spacing must be a number, not None"),
+    ("SweepSettings", "points", 10.0, "points must be an integer, not 10.0"),
+    ("SweepSettings", "points", "3", "points must be an integer, not '3'"),
+    ("SweepSettings", "start", "0", "start must be a number, not '0'"),
+    ("SweepSettings", "stop", "1", "stop must be a number, not '1'"),
+]
+
+
+@pytest.mark.parametrize("name, field, bad, message", WRONG_TYPES)
+def test_wrong_type_is_refused_on_construction_and_replace(name, field, bad, message):
+    record, fields, _, error, _ = CASES[name]
+    valid = record(**fields)
+    with pytest.raises(error) as built:
+        record(**{**fields, field: bad})
+    with pytest.raises(error) as copied:
+        valid._replace(**{field: bad})
+    for refusal in (built, copied):
+        assert type(refusal.value) is error
+        assert str(refusal.value) == message
+
+
+def test_numpy_integer_counts_are_accepted():
+    record, fields = CASES["TransferSystem"][:2]
+    system = record(**{**fields, "mode_count": np.int64(500)})
+    assert integrate(system, 1e-9).final_amplitudes.size == 503
+    assert SweepSettings("bias_voltage", 0.0, 1.0, np.int64(3)).values() == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("start, stop", [(math.nan, 1.0), (0.0, math.inf), (0.0, math.nan)])
