@@ -39,12 +39,9 @@ from .mechanics import (
     MembraneGeometry,
     OperatingPoint,
     elastic_force,
-    flexural_frequency,
-    induced_tension,
     operating_point_at_deflection,
     pull_in_deflection,
     solve_equilibrium,
-    zero_point_amplitude,
 )
 from .runner import (
     ResultTable,

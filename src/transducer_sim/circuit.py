@@ -93,9 +93,9 @@ def matched_circuit(
     """
     omega = op_point.mech_frequency
     c_m = membrane_capacitance(geom, gap, op_point.deflection)
+    # positional: a NamedTuple built by keyword takes over twice as long
     return CircuitParams(
-        tuning_capacitance=tune_capacitor(inductance, omega, c_m),
-        q_zpf=charge_zero_point(inductance, omega),
+        tune_capacitor(inductance, omega, c_m), charge_zero_point(inductance, omega)
     )
 
 

@@ -29,7 +29,7 @@ from .constants import (
 from .coupling import EmitterParams
 from .errors import ConfigError
 from .mechanics import ElectrostaticEnvironment, MembraneGeometry
-from .records import checked, require_numbers
+from .records import checked
 
 #: sweep variable -> the SI unit of its values
 SWEEP_UNITS = dict(
@@ -129,7 +129,6 @@ class SweepSettings(NamedTuple):
     spacing: str = "linear"
 
     def _check(self):
-        require_numbers(self, ValueError, ("start", "stop"), ("points",))
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(
                 f"unknown sweep variable {self.variable!r}; "

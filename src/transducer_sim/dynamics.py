@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .constants import TWO_PI
 from .coupling import thermal_occupation
 from .errors import ConfigError
-from .records import checked, require_numbers
+from .records import checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,7 +109,7 @@ _BLOCK = 16
 _CHUNK = 64
 
 
-@checked
+@checked(error=ConfigError)
 class TransferSystem(NamedTuple):
     """Immutable generator of the open-system transfer dynamics.
 
@@ -127,7 +127,6 @@ class TransferSystem(NamedTuple):
     mode_count: int
 
     def _check(self):
-        require_numbers(self, ConfigError, self._fields[:-1], ("mode_count",))
         rates = (self.g_om, self.g_em, self.kappa, self.gamma_m, self.gamma_lc)
         if not all(map(math.isfinite, rates)):
             raise ConfigError(

@@ -16,6 +16,11 @@ geometry and the gap and is solved once for them, the root once per bias
 point.  The fold is the one stability rule: a balanced deflection is
 stable exactly below :func:`pull_in_deflection`.
 
+What depends on the geometry alone (k1, k3, eps0 w l and the factors of
+the operating point's tension, frequency and zero-point amplitude) is
+computed once per geometry and held; a point pays for its root solve and
+the few operations that combine it with them.
+
 All quantities are SI; frequencies are angular (rad/s) unless a name ends
 in ``_hz``.  Deflections are positive toward the bottom electrode.
 """
@@ -118,38 +123,32 @@ class OperatingPoint(NamedTuple):
     x_zpf: float            # m, zero-point amplitude of the mode
 
 
-def flexural_frequency(geom: MembraneGeometry, tension: float) -> float:
-    """Fundamental flexural-mode frequency (rad/s) at the given tension.
+def _per_geometry(factors):
+    """``factors(geom)``, held for the last geometry object it was called with.
 
-    The mode frequency is
-
-        f = sqrt(A^2 Y h^2 / (rho l^4) + 0.57 A^2 T / (rho l^2 w h))
-
-    with the first (plate) term dominating for thick sheets and the second
-    (tension) term for atomically thin ones.
-
-    Parameters
-    ----------
-    geom : MembraneGeometry
-    tension : float
-        Tension T (N) at which to evaluate the mode, >= 0.
+    One entry, like :func:`_fold`'s: a bias or displacement sweep passes one
+    geometry at every point, a thickness sweep a new one.  Found by identity,
+    which costs less than hashing the eight floats, so it is always what
+    ``factors(geom)`` returns; an exception is raised again at every call.
     """
-    if tension < 0:
-        raise ValueError("tension must be nonnegative")
-    a2 = geom.clamping_coefficient ** 2
-    plate = a2 * geom.youngs_modulus * geom.thickness ** 2 / (
-        geom.density * geom.length ** 4
-    )
-    stretched = _TENSION_FREQUENCY_COEFF * a2 * tension / (
-        geom.density * geom.length ** 2 * geom.width * geom.thickness
-    )
-    return TWO_PI * math.sqrt(plate + stretched)
+    held = (None, None)
+
+    @functools.wraps(factors)
+    def cached(geom):
+        nonlocal held
+        entry = held
+        if entry[0] is not geom:
+            entry = held = (geom, factors(geom))
+        return entry[1]
+
+    return cached
 
 
-def _stiffness_coefficients(geom: MembraneGeometry) -> tuple[float, float]:
-    """Linear and cubic coefficients (k1, k3) of the restoring force k1 x + k3 x^3.
+@_per_geometry
+def _stiffness(geom: MembraneGeometry) -> tuple[float, float, float]:
+    """``(k1, k3, eps0 w l)``: the restoring force k1 x + k3 x^3 and the plates' pull.
 
-    Raises ``FloatingPointError`` where either is not finite.
+    Raises ``FloatingPointError`` where k1 or k3 is not finite.
     """
     l, w, h, y = geom.length, geom.width, geom.thickness, geom.youngs_modulus
     k1 = (
@@ -161,7 +160,28 @@ def _stiffness_coefficients(geom: MembraneGeometry) -> tuple[float, float]:
         raise FloatingPointError(
             f"stiffness k1 = {k1:g} N/m or k3 = {k3:g} N/m^3 is not finite"
         )
-    return k1, k3
+    return k1, k3, EPSILON_0 * w * l
+
+
+# held apart from the stiffness: a geometry whose every point is past
+# pull-in never computes them
+@_per_geometry
+def _mode_factors(geom: MembraneGeometry) -> tuple:
+    """``(Y w h, l^2, A^2 Y h^2 / (rho l^4), 0.57 A^2, rho l^2 w h, effective mass)``.
+
+    The factors of :func:`operating_point_at_deflection`'s formulas, each
+    the float its formula computes, in the formula's order.
+    """
+    l, w, h, rho = geom.length, geom.width, geom.thickness, geom.density
+    a2 = geom.clamping_coefficient ** 2
+    return (
+        geom.youngs_modulus * w * h,
+        l ** 2,
+        a2 * geom.youngs_modulus * h ** 2 / (rho * l ** 4),
+        _TENSION_FREQUENCY_COEFF * a2,
+        rho * l ** 2 * w * h,
+        geom.effective_mass,
+    )
 
 
 def elastic_force(geom: MembraneGeometry, deflection: float) -> float:
@@ -174,7 +194,7 @@ def elastic_force(geom: MembraneGeometry, deflection: float) -> float:
     """
     if deflection < 0:
         raise ValueError("deflection is measured toward the electrode; must be >= 0")
-    k1, k3 = _stiffness_coefficients(geom)
+    k1, k3, _ = _stiffness(geom)
     return k1 * deflection + k3 * deflection ** 3
 
 
@@ -189,28 +209,8 @@ def bias_for_deflection(geom: MembraneGeometry, gap: float, deflection: float) -
     if deflection >= gap:
         raise ValueError("deflection reaches the electrode (contact)")
     return (gap - deflection) * math.sqrt(
-        2.0 * elastic_force(geom, deflection) / (EPSILON_0 * geom.width * geom.length)
+        2.0 * elastic_force(geom, deflection) / _stiffness(geom)[2]
     )
-
-
-def induced_tension(geom: MembraneGeometry, deflection: float) -> float:
-    """Tension (N) of the sheet deflected by ``deflection`` at its midpoint.
-
-    The midpoint displacement elongates the sheet by the triangle
-    construction, giving a strain S = 2 x0^2 / l^2 on top of the
-    pre-tension: T = T0 + Y w h S.
-    """
-    if deflection < 0:
-        raise ValueError("deflection must be nonnegative")
-    strain = 2.0 * deflection ** 2 / geom.length ** 2
-    return geom.pre_tension + geom.youngs_modulus * geom.width * geom.thickness * strain
-
-
-def zero_point_amplitude(effective_mass: float, frequency: float) -> float:
-    """Zero-point amplitude sqrt(hbar / (2 m w)) (m) of a harmonic mode."""
-    if not effective_mass > 0 or not frequency > 0:
-        raise ValueError("effective mass and frequency must be positive")
-    return math.sqrt(HBAR / (2.0 * effective_mass * frequency))
 
 
 def operating_point_at_deflection(
@@ -218,27 +218,35 @@ def operating_point_at_deflection(
 ) -> OperatingPoint:
     """Operating point of the membrane held at a given static deflection.
 
+    The deflection x stretches the sheet by the triangle construction: a
+    strain S = 2 x^2 / l^2 on top of the pre-tension gives T = T0 + Y w h S.
+    The fundamental mode at that tension has the angular frequency
+
+        omega = 2 pi sqrt(A^2 Y h^2 / (rho l^4) + 0.57 A^2 T / (rho l^2 w h))
+
+    (the plate term dominates for thick sheets, the tension term for
+    atomically thin ones) and the zero-point amplitude
+    sqrt(hbar / (2 m_eff omega)).  What depends on the geometry alone is
+    held for it (:func:`_mode_factors`).
+
     Raises
     ------
     FloatingPointError
         If the mode frequency or the effective mass is not a positive
         finite float, as where the geometry overflows or underflows it.
     """
-    tension = induced_tension(geom, deflection)
-    omega = flexural_frequency(geom, tension)
-    m_eff = geom.effective_mass
+    if deflection < 0:
+        raise ValueError("deflection must be nonnegative")
+    stretch, l2, plate, weight, mass_length, m_eff = _mode_factors(geom)
+    tension = geom.pre_tension + stretch * (2.0 * deflection ** 2 / l2)
+    omega = TWO_PI * math.sqrt(plate + weight * tension / mass_length)
     # the chained comparisons are False for nan as well
     if not (0.0 < omega < math.inf and 0.0 < m_eff < math.inf):
         raise FloatingPointError(
             f"mode frequency {omega:g} rad/s or effective mass {m_eff:g} kg "
             f"is not a positive finite float"
         )
-    return OperatingPoint(
-        deflection=deflection,
-        tension=tension,
-        mech_frequency=omega,
-        x_zpf=zero_point_amplitude(m_eff, omega),
-    )
+    return OperatingPoint(deflection, tension, omega, math.sqrt(HBAR / (2.0 * m_eff * omega)))
 
 
 def _bracketed_newton(fn, lo: float, hi: float, x: float) -> float:
@@ -289,7 +297,8 @@ def _fold(a: float) -> tuple[float, float]:
     so g has one root u* in [1/3, 3/5), found by a bracketed Newton solve;
     a = 0, a linear spring, folds at u* = 1/3.  a = k3 d^2 / k1 depends
     only on the geometry and the gap, so the fold is solved once per device
-    and cached; a cached fold is the same pair of floats as a fresh solve.
+    and cached, as the geometry's factors are held (:func:`_per_geometry`);
+    a cached fold is the same pair of floats as a fresh solve.
 
     g is also the net stiffness: at a deflection u = x/d held in balance
     by its bias, k1 + 3 k3 x^2 - eps0 w l V^2 / (d - x)^3 equals
@@ -341,7 +350,7 @@ def pull_in_deflection(geom: MembraneGeometry, gap: float) -> float:
     A deflection held in balance by its bias is stable exactly where it lies
     below this one.
     """
-    k1, k3 = _stiffness_coefficients(geom)
+    k1, k3, _ = _stiffness(geom)
     return _fold(k3 * gap ** 2 / k1)[0] * gap
 
 
@@ -375,13 +384,10 @@ def solve_equilibrium(
         ``OverflowError`` or ``ZeroDivisionError`` of the float operation
         that leaves it first.
     """
-    k1, k3 = _stiffness_coefficients(geom)
+    k1, k3, plates = _stiffness(geom)
     d = env.gap
     a = k3 * d ** 2 / k1
-    b = (
-        EPSILON_0 * geom.width * geom.length * env.bias_voltage ** 2
-        / (2.0 * k1 * d ** 3)
-    )
+    b = plates * env.bias_voltage ** 2 / (2.0 * k1 * d ** 3)
     # a nan would decide pull-in without a comparison holding
     if not (a < math.inf and b < math.inf):
         raise FloatingPointError(

@@ -1,50 +1,64 @@
 """Checked immutable records.
 
-The package's records are ``typing.NamedTuple`` classes.  A record with a
-range check defines it as a ``_check`` method and is decorated with
-:func:`checked`, so that the check runs on every construction path: the
+The package's records are ``typing.NamedTuple`` classes decorated with
+:func:`checked`, so that their checks run on every construction path: the
 constructor, ``_make``, and ``_replace``, which builds through ``_make``
-(``tuple.__new__``) and would otherwise skip a custom ``__new__``.
-A ``_check`` can first call :func:`require_numbers` on its numeric
-fields, so that a value of the wrong type is refused by the record's own
-error, naming the field, before a range check or a run trips over it.
+(``tuple.__new__``) and would otherwise skip a custom ``__new__``.  A field
+of the wrong type for its annotation is refused first, by the record's own
+error naming the field; then the record's range checks, its ``_check``.
 """
 
+import functools
 import math
 import operator
 
+#: field annotation -> (test raising ``TypeError`` on a wrong type, what the
+#: field must be); an ``int`` takes ``numpy.int64`` but not ``500.0``
+_TYPE_TESTS = {
+    "float": (math.isfinite, "a number"),
+    "float | None": (lambda value: value is None or math.isfinite(value), "a number or None"),
+    "int": (operator.index, "an integer"),
+    "str": (str.isascii, "a string"),
+}
 
-def checked(record):
-    """Make ``record``'s ``__new__`` and ``_make`` run its ``_check``; returns ``record``."""
+
+def checked(record=None, *, error=ValueError):
+    """Make ``record``'s ``__new__`` and ``_make`` check it; returns ``record``.
+
+    A field whose value its annotation's test refuses raises ``error``
+    naming it; then the record's ``_check`` runs.
+    ``@checked(error=E)`` gives the decorator for another error type.
+    """
+    if record is None:
+        return functools.partial(checked, error=error)
     new, make = record.__new__, record._make.__func__
+    # NamedTuple keeps a postponed annotation as a ForwardRef of its text
+    kinds = [getattr(kind, "__forward_arg__", kind) for kind in record.__annotations__.values()]
+    tests = [(name, *_TYPE_TESTS[kind]) for name, kind in zip(record._fields, kinds)]
+    floats = set(kinds) == {"float"}
+
+    def check(self):
+        # a record of floats passes in one pass of math.isfinite in C; the
+        # loop names a refused field, and runs where a value is not finite
+        try:
+            passed = floats and all(map(math.isfinite, self))
+        except TypeError:
+            passed = False
+        if not passed:
+            for (name, test, kind), value in zip(tests, self):
+                try:
+                    test(value)
+                except TypeError:
+                    raise error(f"{name} must be {kind}, not {value!r}") from None
+        self._check()
+        return self
 
     def __new__(cls, *args, **kwargs):
-        self = new(cls, *args, **kwargs)
-        self._check()
-        return self
+        return check(new(cls, *args, **kwargs))
 
     def _make(cls, iterable):
-        self = make(cls, iterable)
-        self._check()
-        return self
+        return check(make(cls, iterable))
 
     record.__new__ = staticmethod(__new__)
     record._make = classmethod(_make)
     return record
-
-
-def require_numbers(record, error, reals=(), counts=()):
-    """Refuse a field in ``reals`` that is no real number, or in ``counts`` no integer.
-
-    A count is what ``operator.index`` takes (so ``numpy.int64`` but not
-    ``500.0``), a real number what ``math.isfinite`` takes.  Raises
-    ``error`` naming the first such field.
-    """
-    checks = ((reals, math.isfinite, "a number"), (counts, operator.index, "an integer"))
-    for names, test, kind in checks:
-        for name in names:
-            value = getattr(record, name)
-            try:
-                test(value)
-            except TypeError:
-                raise error(f"{name} must be {kind}, not {value!r}") from None

@@ -67,10 +67,11 @@ class ResultTable:
         return [row[idx[0]] for row in self.rows]
 
 
-def _operating_point(config: ExperimentConfig, variable: str, value: float):
-    """``(geometry, environment, operating point)`` of the device at one sweep value.
+def _device_points(config: ExperimentConfig, variable: str):
+    """``point(value)``: ``(geometry, environment, operating point)`` at one sweep value.
 
-    A thickness or bias point is solved for its equilibrium (``PullInError``
+    Read from the config once per sweep; every solve runs per point.  A
+    thickness or bias point is solved for its equilibrium (``PullInError``
     past pull-in).  A displacement point takes the bias that balances the
     forces there; its operating point is None at or past the pull-in fold
     (:func:`mechanics.pull_in_deflection`), where that bias cannot hold the
@@ -79,21 +80,40 @@ def _operating_point(config: ExperimentConfig, variable: str, value: float):
     ``FloatingPointError``.
     """
     geom, env = config.geometry, config.environment
+    gap = env.gap
     if variable == "thickness":
-        geom = geom._replace(thickness=value)
+        # _make builds a sheet in a third of _replace's time, with its checks
+        at = geom._fields.index("thickness")
+        head, tail = geom[:at], geom[at + 1:]
+
+        def point(value):
+            sheet = geom._make((*head, value, *tail))
+            return sheet, env, mechanics.solve_equilibrium(sheet, env)
+
     elif variable == "bias_voltage":
-        env = mechanics.ElectrostaticEnvironment(gap=env.gap, bias_voltage=value)
+
+        def point(value):
+            biased = mechanics.ElectrostaticEnvironment(gap, value)
+            return geom, biased, mechanics.solve_equilibrium(geom, biased)
+
     else:
-        if value >= env.gap:
-            raise ConfigError("displacement sweep reaches the electrode gap", "sweep")
-        bias = mechanics.bias_for_deflection(geom, env.gap, value)
-        if not math.isfinite(bias):
-            raise FloatingPointError("the bias for this deflection is not finite")
-        env = mechanics.ElectrostaticEnvironment(gap=env.gap, bias_voltage=bias)
-        if value >= mechanics.pull_in_deflection(geom, env.gap):
-            return geom, env, None
-        return geom, env, mechanics.operating_point_at_deflection(geom, value)
-    return geom, env, mechanics.solve_equilibrium(geom, env)
+        fold = None  # the pull-in deflection, solved at the first point that needs it
+
+        def point(value):
+            nonlocal fold
+            if value >= gap:
+                raise ConfigError("displacement sweep reaches the electrode gap", "sweep")
+            bias = mechanics.bias_for_deflection(geom, gap, value)
+            if not math.isfinite(bias):
+                raise FloatingPointError("the bias for this deflection is not finite")
+            biased = mechanics.ElectrostaticEnvironment(gap, bias)
+            if fold is None:
+                fold = mechanics.pull_in_deflection(geom, gap)
+            if value >= fold:
+                return geom, biased, None
+            return geom, biased, mechanics.operating_point_at_deflection(geom, value)
+
+    return point
 
 
 def _coupling_rates(config: ExperimentConfig, geom, env, op):
@@ -112,38 +132,42 @@ def _coupling_rates(config: ExperimentConfig, geom, env, op):
     return g_em, g_om1, g_om2
 
 
-def _statics(row):
-    """``row(variable, value)`` as a statics sweep point.
+def _statics(config: ExperimentConfig, row):
+    """``rows(variable, values)`` of a statics sweep: ``row(value, geom, env, op)`` per point.
 
-    Pull-in, tuning and unstable points (``row`` gives None) are NaN rows
+    Pull-in, tuning and unstable points (no operating point) are NaN rows
     with their status.  Statics that leave the float range raise an
     ``ArithmeticError`` (an overflow, a division by an underflowed zero, an
     operating point or rate that is not finite): a config error naming the point.
     """
 
-    def one(variable, value):
-        try:
-            result = row(variable, value)
-        except PullInError:
-            status = STATUS_PULL_IN
-        except TuningError:
-            status = STATUS_TUNING
-        except ArithmeticError:
-            raise ConfigError(
-                f"the statics at {variable} = {value:g} leave the float range; "
-                f"check the [geometry], [circuit] and [emitter] values"
-            ) from None
-        else:
-            if result is not None:
-                return result
-            status = STATUS_UNSTABLE
-        return (value, math.nan, math.nan, math.nan, status)
+    def rows(variable, values):
+        point = _device_points(config, variable)
+        table = []
+        for value in values:
+            try:
+                geom, env, op = point(value)
+                if op is not None:
+                    table.append(row(value, geom, env, op))
+                    continue
+                status = STATUS_UNSTABLE
+            except PullInError:
+                status = STATUS_PULL_IN
+            except TuningError:
+                status = STATUS_TUNING
+            except ArithmeticError:
+                raise ConfigError(
+                    f"the statics at {variable} = {value:g} leave the float range; "
+                    f"check the [geometry], [circuit] and [emitter] values"
+                ) from None
+            table.append((value, math.nan, math.nan, math.nan, status))
+        return table
 
-    return one
+    return rows
 
 
-def _sweep_table(config: ExperimentConfig, run: str, allowed, columns, row) -> ResultTable:
-    """``row(variable, value)`` for each point of the config's sweep, in order.
+def _sweep_table(config: ExperimentConfig, run: str, allowed, columns, rows) -> ResultTable:
+    """``rows(variable, values)`` over the config's sweep, one row per point in order.
 
     The sweep must be present and sweep one of ``allowed``.  The table's
     columns are the swept variable in its unit, ``columns`` and the status.
@@ -158,7 +182,7 @@ def _sweep_table(config: ExperimentConfig, run: str, allowed, columns, row) -> R
         )
     return ResultTable(
         columns=[(variable, SWEEP_UNITS[variable]), *columns, ("status", "-")],
-        rows=[row(variable, value) for value in sweep.values()],
+        rows=rows(variable, sweep.values()),
         meta={"config_sha256": config.config_hash, "run": run},
     )
 
@@ -166,8 +190,7 @@ def _sweep_table(config: ExperimentConfig, run: str, allowed, columns, row) -> R
 def run_mechanics_sweep(config: ExperimentConfig) -> ResultTable:
     """Deflection, tension and mode frequency versus thickness or bias."""
 
-    def row(variable, value):
-        op = _operating_point(config, variable, value)[2]
+    def row(value, geom, env, op):
         return (value, op.deflection, op.tension, op.mech_frequency / TWO_PI, STATUS_OK)
 
     return _sweep_table(
@@ -175,17 +198,14 @@ def run_mechanics_sweep(config: ExperimentConfig) -> ResultTable:
         "mechanics",
         ("thickness", "bias_voltage"),
         [("deflection", "m"), ("tension", "N"), ("frequency", "Hz")],
-        _statics(row),
+        _statics(config, row),
     )
 
 
 def run_coupling_sweep(config: ExperimentConfig) -> ResultTable:
     """Electromechanical and both optomechanical rates versus bias or deflection."""
 
-    def row(variable, value):
-        geom, env, op = _operating_point(config, variable, value)
-        if op is None:
-            return None
+    def row(value, geom, env, op):
         g_em, g_om1, g_om2 = _coupling_rates(config, geom, env, op)
         return (value, g_em / TWO_PI, g_om1 / TWO_PI, g_om2 / TWO_PI, STATUS_OK)
 
@@ -194,7 +214,7 @@ def run_coupling_sweep(config: ExperimentConfig) -> ResultTable:
         "couplings",
         ("bias_voltage", "displacement"),
         [("g_em", "Hz"), ("g_om1", "Hz"), ("g_om2", "Hz")],
-        _statics(row),
+        _statics(config, row),
     )
 
 
@@ -283,7 +303,7 @@ def run_environment_scan(config: ExperimentConfig) -> ResultTable:
         "scan",
         ("temperature", "kappa"),
         [("max_fidelity", "-"), ("survival", "-"), ("time_to_f95", "s")],
-        row,
+        lambda variable, values: [row(variable, value) for value in values],
     )
     # a field shared by every point is written once, else per point in order
     table.meta.update({

@@ -5,6 +5,7 @@ import pytest
 from scipy.constants import epsilon_0
 
 from transducer_sim import ElectrostaticEnvironment, MembraneGeometry, dynamics
+from transducer_sim.constants import HBAR
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,6 +41,48 @@ def documented_stiffness(geom):
     k1 = 30.78 * w * h ** 3 * y / l ** 3 + 12.32 * geom.pre_tension / l
     k3 = 8.0 * w * h * y / (3.0 * l ** 3)
     return k1, k3
+
+
+def induced_tension(geom, deflection):
+    """Tension (N) of the sheet deflected by ``deflection`` at its midpoint.
+
+    The midpoint displacement elongates the sheet by the triangle
+    construction, giving a strain S = 2 x0^2 / l^2 on top of the
+    pre-tension: T = T0 + Y w h S.  This and the two functions below are
+    the documented formulas of an operating point, computed afresh at each
+    call; ``operating_point_at_deflection`` gives their floats.
+    """
+    if deflection < 0:
+        raise ValueError("deflection must be nonnegative")
+    strain = 2.0 * deflection ** 2 / geom.length ** 2
+    return geom.pre_tension + geom.youngs_modulus * geom.width * geom.thickness * strain
+
+
+def flexural_frequency(geom, tension):
+    """Fundamental flexural-mode frequency (rad/s) at the given tension.
+
+        f = sqrt(A^2 Y h^2 / (rho l^4) + 0.57 A^2 T / (rho l^2 w h))
+
+    with the first (plate) term dominating for thick sheets and the second
+    (tension) term for atomically thin ones.
+    """
+    if tension < 0:
+        raise ValueError("tension must be nonnegative")
+    a2 = geom.clamping_coefficient ** 2
+    plate = a2 * geom.youngs_modulus * geom.thickness ** 2 / (
+        geom.density * geom.length ** 4
+    )
+    stretched = 0.57 * a2 * tension / (
+        geom.density * geom.length ** 2 * geom.width * geom.thickness
+    )
+    return TWO_PI * math.sqrt(plate + stretched)
+
+
+def zero_point_amplitude(effective_mass, frequency):
+    """Zero-point amplitude sqrt(hbar / (2 m w)) (m) of a harmonic mode."""
+    if not effective_mass > 0 or not frequency > 0:
+        raise ValueError("effective mass and frequency must be positive")
+    return math.sqrt(HBAR / (2.0 * effective_mass * frequency))
 
 
 def electrostatic_force(env, geom, deflection):

@@ -28,8 +28,6 @@ from transducer_sim import (
     EmitterParams,
     cooperativity,
     electromechanical_coupling,
-    flexural_frequency,
-    induced_tension,
     integrate,
     make_transfer_system,
     matched_circuit,
@@ -47,6 +45,8 @@ from conftest import (
     closed_generator,
     dense_generator,
     documented_stiffness,
+    flexural_frequency,
+    induced_tension,
     loaded,
     on_comb,
 )

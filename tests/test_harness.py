@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +386,31 @@ class TestCouplingSweep:
         _fold.cache_clear()
         run_mechanics_sweep(parse_config(MINIMAL + sweep("thickness", 1e-9, 3e-9, 7)))
         assert _fold.cache_info().misses == 7
+
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path):
+        # the per-geometry factors and the fold are process state: bias on
+        # device A, thickness, bias on device B, bias on A again, then
+        # displacement on A each write what a fresh process writes
+        device_b = set_key(read_config("couplings_voltage_sweep.ini"), "geometry", "length_m", "120e-9")
+        runs = [
+            ("mechanics", read_config("mechanics_voltage_sweep.ini")),
+            ("mechanics", read_config("mechanics_thickness_sweep.ini")),
+            ("couplings", device_b),
+            ("couplings", read_config("couplings_voltage_sweep.ini")),
+            ("couplings", read_config("couplings_displacement_sweep.ini")),
+        ]
+        fresh = "import sys; from transducer_sim.cli import main; sys.exit(main(sys.argv[1:]))"
+        for i, (command, text) in enumerate(runs):
+            cfg = tmp_path / f"{i}.ini"
+            cfg.write_text(text)
+            out = [str(tmp_path / f"{i}_{where}.csv") for where in ("fresh", "shared")]
+            subprocess.run(
+                [sys.executable, "-c", fresh, command, "--config", str(cfg), "--out", out[0]],
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                check=True,
+            )
+            assert main([command, "--config", str(cfg), "--out", out[1]]) == EXIT_OK
+            assert Path(out[1]).read_bytes() == Path(out[0]).read_bytes(), i
 
 
 class TestTransferRun:

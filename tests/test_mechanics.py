@@ -11,23 +11,23 @@ from transducer_sim import (
     MembraneGeometry,
     PullInError,
     elastic_force,
-    flexural_frequency,
-    induced_tension,
     operating_point_at_deflection,
     pull_in_deflection,
     solve_equilibrium,
-    zero_point_amplitude,
 )
-
+from transducer_sim import mechanics
 from transducer_sim.mechanics import _fold, _stable_root, bias_for_deflection
 
 from conftest import (
     TWO_PI,
     documented_stiffness,
     electrostatic_force,
+    flexural_frequency,
+    induced_tension,
     net_stiffness,
     reference_fold,
     reference_root,
+    zero_point_amplitude,
 )
 
 
@@ -467,3 +467,71 @@ def test_operating_point_at_deflection_matches_parts(geometry):
     assert op.tension == induced_tension(geometry, 4e-9)
     assert op.mech_frequency == flexural_frequency(geometry, op.tension)
     assert op.x_zpf == zero_point_amplitude(geometry.effective_mass, op.mech_frequency)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as the exact bits of its floats, or ``ArithmeticError`` if it raised one.
+
+    ``float.hex`` tells -0.0 from 0.0 and shows every last bit; which
+    ``ArithmeticError`` a path raises first may differ, and a run maps each
+    to the same config error.
+    """
+    try:
+        return [float.hex(float(v)) for v in fn(*args)]
+    except ArithmeticError:
+        return ArithmeticError
+
+
+def _composed_point(geom, deflection):
+    """The operating point from the formula functions, computed afresh at each call."""
+    tension = induced_tension(geom, deflection)
+    omega = flexural_frequency(geom, tension)
+    m_eff = geom.effective_mass
+    if not (0.0 < omega < math.inf and 0.0 < m_eff < math.inf):
+        raise FloatingPointError("not a positive finite float")
+    return deflection, tension, omega, zero_point_amplitude(m_eff, omega)
+
+
+#: a geometry field and its nominal value; a drawn one is that times 10**e
+NOMINAL_GEOMETRY = dict(
+    length=110e-9,
+    width=1e-6,
+    thickness=1.1e-9,
+    youngs_modulus=1e12,
+    density=2260.0,
+    pre_tension=10e-9,
+    clamping_coefficient=1.03,
+)
+
+
+@given(
+    st.lists(
+        st.builds(
+            MembraneGeometry,
+            # up to 10**170 either way: powers and quotients leave the float range
+            **{
+                name: st.floats(-170.0, 170.0).map(lambda e, v=value: v * 10.0 ** e)
+                for name, value in NOMINAL_GEOMETRY.items()
+            },
+            mode_mass_fraction=st.floats(1e-3, 1.0),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    st.floats(0.0, 1e-8),
+)
+@settings(max_examples=200, deadline=None)
+def test_held_factors_match_a_fresh_computation(pool, picks, deflection):
+    # in any order of geometries, and of equal copies that are new objects,
+    # what is held per geometry is the floats that a fresh computation gives,
+    # and the operating point is the one the formula functions compose
+    for pick in picks:
+        geom = pool[pick % len(pool)]
+        if pick >= len(pool):
+            geom = geom._replace()
+        for held in (mechanics._stiffness, mechanics._mode_factors):
+            assert _outcome(held, geom) == _outcome(held.__wrapped__, geom)
+        assert _outcome(operating_point_at_deflection, geom, deflection) == _outcome(
+            _composed_point, geom, deflection
+        )

@@ -97,9 +97,17 @@ def test_check_runs_on_construction_and_replace(name):
     assert str(copied.value) == message
 
 
-#: a count or number field of a record, a value of the wrong type for it,
-#: and the record's message; the record's own error names the field
+#: a field of a record, a value of the wrong type for it, and the record's
+#: message: the check that ``checked`` takes from the field annotations
+#: raises the record's own error, naming the field
 WRONG_TYPES = [
+    ("MembraneGeometry", "thickness", "1.1e-9", "thickness must be a number, not '1.1e-9'"),
+    ("ElectrostaticEnvironment", "bias_voltage", "3.3", "bias_voltage must be a number, not '3.3'"),
+    # a field that no range check compares
+    ("EmitterParams", "stark_shift_coefficient", "1", "stark_shift_coefficient must be a number, not '1'"),
+    ("SimulationSettings", "temperature", "0.05", "temperature must be a number, not '0.05'"),
+    ("SimulationSettings", "g_c", "1", "g_c must be a number or None, not '1'"),
+    ("SweepSettings", "variable", 1, "variable must be a string, not 1"),
     ("TransferSystem", "mode_count", 500.0, "mode_count must be an integer, not 500.0"),
     ("TransferSystem", "mode_count", "500", "mode_count must be an integer, not '500'"),
     ("TransferSystem", "g_om", "1", "g_om must be a number, not '1'"),
