@@ -78,7 +78,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.out:
+    if args.out is not None:
         try:
             table.write(args.out)
         except OSError as exc:

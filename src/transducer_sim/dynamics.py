@@ -38,19 +38,20 @@ The scheme is linear and the same at every step, so the core composes
 amplitudes and comb injections from that map, and writes the comb once.
 The detunings come in +- pairs, whose rot_h are complex conjugates, so
 the core holds each pair in a sum and difference basis in which the read
-and the write are each one real product with a table of half the comb:
-rot_h^p of one member per pair, and its conjugate.  The modes without a
-partner, the zero-detuning mode (N even) and the top edge mode, step
-inside the block map.  What depends on the comb and the step alone (the
-two pair power tables, the kernel sums, the Toeplitz read of the block
-map and the fidelity form) is built once per (mode_spacing, mode_count,
-dt) and held, read-only, until a run on another comb or step, so the
-points of a scan on one comb share it; each run builds only its block
-map, in three array operations per step.  Every run records: the blocks
-write their step rows into a buffer of 64 blocks, read into samples in
-one vectorised pass when it is full or the run ends, and a step's
-fidelity is the squared comb norm at the buffer's start (one ``vdot``)
-plus the gains of the steps up to it.  So a block makes six array
+and the write are each one real product with one table of half the comb,
+rot_h^p of one member per pair; the write reads it backwards, since
+conj(rot_h^p) = rot_h^(2L - p) conj(rot_h^2L) for a block of L steps.
+The modes without a partner, the zero-detuning mode (N even) and the top
+edge mode, step inside the block map.  What depends on the comb and the
+step alone (the pair power table, the kernel sums, the Toeplitz read of
+the block map and the fidelity form) is built once per (mode_spacing,
+mode_count, dt) and held, read-only, until a run on another comb or step,
+so the points of a scan on one comb share it; each run builds only its
+block map, in three array operations per step.  Every run records: the
+blocks write their step rows into a buffer of 64 blocks, read into
+samples in one vectorised pass when it is full or the run ends, and a
+step's fidelity is the squared comb norm at the buffer's start (one
+``vdot``) plus the gains of the steps up to it.  So a block makes six array
 operations, and the buffer's size is the same however long the run.
 
 numpy is imported by the functions that build and step a trajectory, not
@@ -93,14 +94,14 @@ _BANDWIDTH_KAPPAS = 5.0
 #: only a system built on its own comb reaches this
 MAX_STEPS = 10 ** 8
 
-#: most photon modes one comb may hold; the two pair power tables alone
-#: are then 33 x N complex numbers together, about 0.5 GB
+#: most photon modes one comb may hold; the pair power table alone is
+#: then 33 x N / 2 complex numbers, about 0.26 GB
 MAX_MODE_COUNT = 10 ** 6
 
-#: steps composed into one precomputed block map; the pair power tables
-#: hold 2 _BLOCK + 1 rows of half the comb length each (about 1 MB
-#: together at 2000 modes), and a longer block buys little once the two
-#: comb products dominate
+#: steps composed into one precomputed block map; the pair power table
+#: holds 2 _BLOCK + 1 rows of half the comb length (about 0.5 MB at 2000
+#: modes), and a longer block buys little once the two comb products
+#: dominate
 _BLOCK = 16
 
 #: blocks whose step rows are buffered before they are read into samples
@@ -321,11 +322,12 @@ def _comb_tables(system: TransferSystem, dt: float):
 
 
 def _build_comb_tables(system: TransferSystem, dt: float):
-    """``(pairs, pairs_conj, singles, kernel, sums, form)``: one comb and step, read-only.
+    """``(pairs, singles, kernel, sums, form)``: one comb and step, read-only.
 
     Row p (p = 0..2 _BLOCK) of ``pairs`` is rot_h^p of the low member of
-    each conjugate pair (:func:`_pairing`), ``pairs_conj`` its complex
-    conjugate, and ``singles`` rot_h^p of the single modes; the kernel
+    each conjugate pair (:func:`_pairing`), the one table that both the
+    comb read and the comb write of :func:`_advance` take, and ``singles``
+    rot_h^p of the single modes; the kernel
     G(p) = sum_j rot_h_j^p runs over the whole comb.  ``sums`` is the
     Toeplitz read of the comb sums (:func:`_block_map`) and ``form`` the
     |c|^2 gain form (:func:`_read_chunk`).
@@ -354,7 +356,7 @@ def _build_comb_tables(system: TransferSystem, dt: float):
         [g[2].conj(), g[1].conj(), g[0]],
     ]
     form[:3, 3:] = form[3:, :3] = np.eye(3)
-    tables = pairs, pairs.conj(), singles, g, sums, form
+    tables = pairs, singles, g, sums, form
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -379,9 +381,10 @@ def _block_map(step_map: np.ndarray, sums: np.ndarray, singles: np.ndarray, leng
     sums (s0, s1, s2), and ``combs``, which maps each block length L in
     ``lengths`` to the block's output (U + 2B + 4, U + 2B + 4) after L
     steps: the single modes rot_h^2L e + sum_p h_p rot_h^p, the bright
-    amplitudes, and sqrt 2 h, the injections as the pairs take them.
-    ``steps`` is causal: the first L steps of a block need only their
-    first 9 L rows.
+    amplitudes, and sqrt 2 h, the injections as the pairs take them, in
+    chain order: slot j (j = 0..2L) holds h_(2L - j), so the write reads
+    the pair table backwards.  ``steps`` is causal: the first L steps of a
+    block need only their first 9 L rows.
     """
     import numpy as np
 
@@ -403,9 +406,9 @@ def _block_map(step_map: np.ndarray, sums: np.ndarray, singles: np.ndarray, leng
         np.dot(step_map, rows[k, 3:], out=rows[k + 1, :6])
         chain[2 * k : 2 * k + 3] += rows[k + 1, :3]
         if k + 1 in lengths:
-            h = chain[2 * k + 2 :: -1]
+            h = chain[: 2 * k + 3]
             combs[k + 1] = carry = np.zeros((width, width), dtype=complex)
-            np.matmul(singles[: 2 * k + 3].T, h, out=carry[:u])
+            np.matmul(singles[2 * k + 2 :: -1].T, h, out=carry[:u])
             carry[:u, :u].flat[:: u + 1] += singles[2 * k + 2]
             carry[u : u + 3] = rows[k + 1, 3:6]
             carry[u + 3 : u + 2 * k + 6] = math.sqrt(2.0) * h
@@ -430,16 +433,19 @@ def _advance(
     rot_h_a^p c_a + conj(rot_h_a^p) c_b are real products of w.  So a block
     reads the paired comb once, as the real product of the table P of
     rot_h^p (``pairs``) with w, and writes it once, as
-    w <- conj(P[2L]) w + sqrt 2 (Re h, Im h) conj(P), one more real
-    product; the modes without a partner ride in the block input.  The
-    tables are shared with the runs before it on the same comb and step
-    (:func:`_comb_tables`).  Two precomputed maps (:func:`_block_map`)
-    take the block input to the bright amplitudes, stage scalars and comb
-    sums of all its L steps, and to what the block carries over: the
-    single modes, the bright amplitudes and the injections h.  The block
-    writes those step rows into a buffer of ``_CHUNK`` blocks, the first of
-    which also takes |c|^2 (one ``vdot``); nothing else is read while
-    stepping.  A full buffer, or the last, is read by :func:`_read_chunk`.
+    w <- conj(P[2L]) (w + sqrt 2 (Re h', Im h') P), one more real product
+    with the same table, where h'_j = h_(2L - j) holds the injections in
+    reverse order (:func:`_block_map`): since |rot_h| = 1, conj(P[p]) =
+    P[2L - p] conj(P[2L]), so this is conj(P[2L]) w + sqrt 2 sum_p
+    (Re h_p, Im h_p) conj(P[p]).  The modes without a partner ride in the
+    block input.  The tables are shared with the runs before it on the
+    same comb and step (:func:`_comb_tables`).  Two precomputed maps
+    (:func:`_block_map`) take the block input to the bright amplitudes,
+    stage scalars and comb sums of all its L steps, and to what the block
+    carries over: the single modes, the bright amplitudes and the
+    injections h.  The block writes those step rows into a buffer of
+    ``_CHUNK`` blocks, the first of which also takes |c|^2 (one ``vdot``);
+    nothing else is read while stepping.  A full buffer, or the last, is read by :func:`_read_chunk`.
 
     Returns the final amplitude vector and the samples ``(t, |c1|^2,
     |c2|^2, |c3|^2, survival, fidelity)``, one row each, at step 0 and at
@@ -448,7 +454,7 @@ def _advance(
     """
     import numpy as np
 
-    pairs, pairs_conj, singles, kernel, sums, form = _comb_tables(system, dt)
+    pairs, singles, kernel, sums, form = _comb_tables(system, dt)
     # the comb injections are needed at the block lengths this run takes
     steps, combs = _block_map(
         _step_map(system, dt, kernel[1]),
@@ -458,7 +464,7 @@ def _advance(
     )
     # each block length's rotation, the same shape as w: a broadcast row
     # multiplies at a third of the speed
-    turns = {size: pairs_conj[2 * size][None].repeat(2, 0) for size in combs}
+    turns = {size: pairs[2 * size].conj()[None].repeat(2, 0) for size in combs}
     low, high, single = _pairing(system.mode_count)
     u, n_w = single.size, 2 * low.size
 
@@ -473,7 +479,7 @@ def _advance(
     ]
     w_real = w.view(float)
     w_cols, gain = w_real.T, np.empty_like(w_real)
-    pairs_real, pairs_conj_real = pairs.view(float), pairs_conj.view(float)
+    pairs_real = pairs.view(float)
 
     c, z = y[3:], here[0]
     w[0] = (c[low].conj() + c[high]) / math.sqrt(2.0)
@@ -492,10 +498,10 @@ def _advance(
             norm = np.vdot(comb, comb).real
         np.dot(pairs_real, w_cols, out=read)
         np.dot(steps, z, out=chunk[b])
-        np.multiply(w, turns[size], out=w)
         np.dot(combs[size], z, out=z_next)
-        np.dot(h, pairs_conj_real, out=gain)
+        np.dot(h, pairs_real, out=gain)
         w_real += gain
+        np.multiply(w, turns[size], out=w)
         here, there = there, here
         if b == _CHUNK - 1 or start + size == n_steps:
             ran = np.arange(start - b * _BLOCK + 1, start + size + 1)

@@ -582,6 +582,15 @@ class TestCli:
         assert "cannot write output" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_output_path_exits_2(self, tmp_path, capsys):
+        # an empty --out names no file: it is refused, not taken for stdout
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(MINIMAL + sweep("bias_voltage", 0, 1))
+        assert main(["mechanics", "--config", str(cfg), "--out", ""]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "cannot write output" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("gamma_m_hz", ["1e10", "1e12"])
     def test_loss_above_couplings_stays_bounded(self, tmp_path, gamma_m_hz):
         # a mechanical loss far above g_c = 50 MHz decays, it does not blow up
