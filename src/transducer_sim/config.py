@@ -152,32 +152,25 @@ class SweepSettings(NamedTuple):
             raise ValueError("spacing must be 'linear' or 'log'")
         if self.spacing == "log" and self.start <= 0:
             raise ValueError("log spacing needs a positive start")
-        if self.spacing == "log" and self.points > 1:
-            # the top point as ``values`` builds it, without building the list:
-            # stop / start can overflow, and so can its power near the top of
-            # the float range
-            n = self.points - 1
-            try:
-                top = self.start * ((self.stop / self.start) ** (1.0 / n)) ** n
-            except OverflowError:
-                top = math.inf
-            if not math.isfinite(top):
-                raise ValueError(
-                    f"the log range {self.start:g} to {self.stop:g} overflows"
-                )
+        # the points between the ends lie below stop, so a finite stop / start
+        # keeps every point finite
+        if self.spacing == "log" and self.points > 1 and math.isinf(self.stop / self.start):
+            raise ValueError(f"the log range {self.start:g} to {self.stop:g} overflows")
 
     def values(self):
+        """``[start]`` for one point, else ``start``, the ``points - 2`` between and ``stop``."""
         if self.points == 1:
             return [self.start]
+        n = self.points - 1
         if self.spacing == "log":
-            ratio = (self.stop / self.start) ** (1.0 / (self.points - 1))
-            return [self.start * ratio ** i for i in range(self.points)]
-        step = (self.stop - self.start) / (self.points - 1)
-        return [self.start + step * i for i in range(self.points)]
+            ratio = (self.stop / self.start) ** (1.0 / n)
+            return [self.start * ratio ** i for i in range(n)] + [self.stop]
+        step = (self.stop - self.start) / n
+        return [self.start + step * i for i in range(n)] + [self.stop]
 
 
 class ExperimentConfig(NamedTuple):
-    """A parsed config document; equality and hashing ignore ``config_hash``."""
+    """A parsed config document."""
 
     geometry: MembraneGeometry
     environment: ElectrostaticEnvironment
@@ -186,18 +179,6 @@ class ExperimentConfig(NamedTuple):
     simulation: SimulationSettings
     sweep: SweepSettings | None
     config_hash: str = ""
-
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentConfig):
-            return NotImplemented
-        return self[:-1] == other[:-1]
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self):
-        return hash(self[:-1])
 
 
 def _value(section, key, raw, convert):

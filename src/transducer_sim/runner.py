@@ -3,7 +3,7 @@
 Each run function takes a parsed :class:`ExperimentConfig` and returns a
 :class:`ResultTable` with one row per sweep point, in sweep order.  Every
 sweep is built by one table helper, ``_sweep_table``, and every statics
-point by one path from a sweep value to the device, ``_operating_point``
+point by one path from a sweep value to the device, ``_device_points``
 (thickness, bias or displacement), then ``_coupling_rates``; so
 ``mechanics`` and ``couplings`` give a bias the same verdict.  Rows where
 the physics refuses (pull-in, tuning, unstable equilibrium, threshold not

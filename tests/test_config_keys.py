@@ -177,7 +177,8 @@ def test_readme_defaults_are_applied():
                 if default:
                     written = with_key(written, section, key, default)
     assert written.count("\n") - DEVICE.count("\n") >= 14
-    assert parse_config(written) == parse_config(DEVICE)
+    # every field but the config hash
+    assert parse_config(written)[:-1] == parse_config(DEVICE)[:-1]
 
 
 #: a document of each command, with a short run

@@ -1,19 +1,21 @@
 """Every bundled config against the CSV recorded for it in ``tests/golden/``.
 
-Each config reruns in process through the CLI.  The ``#`` header lines,
-the column line and every status cell must match exactly, and every
-numeric cell within 1e-12 relative, so a change that is meant to leave
-the outputs alone is checked here instead of by hand with ``cmp``.  The
-statics configs must also match byte for byte: their rows come from
-scalar float arithmetic alone, with no numpy and no step size, so any
-moved bit is a changed solve.  A change that moves an output on purpose
-rewrites the golden file and says why.  The CI workflow reruns the same
-configs after installing the run-time dependencies alone; its steps are
-read here, so they name every golden file and no missing one.
+``COMMANDS`` and ``STATICS`` are the one list of bundled runs.  Each
+config reruns in process through the CLI.  The ``#`` header lines, the
+column line and every status cell must match exactly, and every numeric
+cell within 1e-12 relative, so a change that is meant to leave the
+outputs alone is checked here instead of by hand with ``cmp``.  The
+statics configs must also match byte for byte, each alone and all four
+in one process in either order: their rows come from scalar float
+arithmetic alone, with no numpy and no step size, so any moved bit is a
+changed solve.  A change that moves an output on purpose rewrites the
+golden file and says why.  The CI workflow runs this file after
+installing the run-time dependencies and pytest alone, with
+``--noconftest`` (``conftest.py`` imports scipy), so it uses no fixture
+of ``conftest.py`` and imports nothing beyond the package and pytest.
 """
 
 import math
-import re
 from pathlib import Path
 
 import pytest
@@ -38,18 +40,23 @@ COMMANDS = {
 REL_TOL = 1e-12
 
 #: configs whose output must equal the golden file byte for byte
-STATICS = {
-    "couplings_displacement_sweep",
-    "couplings_voltage_sweep",
-    "mechanics_thickness_sweep",
+STATICS = (
     "mechanics_voltage_sweep",
-}
+    "mechanics_thickness_sweep",
+    "couplings_voltage_sweep",
+    "couplings_displacement_sweep",
+)
 
 
 def test_every_bundled_config_has_a_golden_file():
     configs = {path.stem for path in (ROOT / "configs").glob("*.ini")}
     goldens = {path.stem for path in GOLDEN.glob("*.csv")}
-    assert configs == goldens == set(COMMANDS) >= STATICS
+    assert configs == goldens == set(COMMANDS) >= set(STATICS)
+
+
+def run(name, out):
+    config = ROOT / "configs" / f"{name}.ini"
+    assert main([COMMANDS[name], "--config", str(config), "--out", str(out)]) == EXIT_OK
 
 
 def cells_agree(expected: str, got: str) -> bool:
@@ -65,8 +72,7 @@ def cells_agree(expected: str, got: str) -> bool:
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_bundled_config_matches_golden(tmp_path, name):
     out = tmp_path / f"{name}.csv"
-    config = ROOT / "configs" / f"{name}.ini"
-    assert main([COMMANDS[name], "--config", str(config), "--out", str(out)]) == EXIT_OK
+    run(name, out)
     golden = GOLDEN / f"{name}.csv"
     expected = golden.read_text().splitlines()
     got = out.read_text().splitlines()
@@ -87,57 +93,18 @@ def test_bundled_config_matches_golden(tmp_path, name):
         assert out.read_bytes() == golden.read_bytes()
 
 
-#: the lines of a ``runtime-deps`` step that runs ``configs/$name.ini`` and
-#: checks its CSV against ``tests/golden/$name.csv``: whole, or by header,
-#: row count and, for a scan, its status column (the fifth)
-RUN_LINE = 'transducer-sim "$command" --config "configs/$name.ini" --out "$RUNNER_TEMP/$name.csv"'
-CHECK_LINES = {
-    "cmp": ('cmp "$RUNNER_TEMP/$name.csv" "tests/golden/$name.csv"',),
-    "diff": (
-        """diff <(grep '^#' "$RUNNER_TEMP/$name.csv") <(grep '^#' "tests/golden/$name.csv")""",
-        'diff <(wc -l < "$RUNNER_TEMP/$name.csv") <(wc -l < "tests/golden/$name.csv")',
-        'if [ "$command" = scan ]; then',
-        """diff <(grep -v '^#' "$RUNNER_TEMP/$name.csv" | cut -d, -f5) """
-        """<(grep -v '^#' "tests/golden/$name.csv" | cut -d, -f5)""",
-        "fi",
-    ),
-}
+def test_statics_in_one_process_in_either_order(tmp_path):
+    # the per-geometry factors and the fold are held in the process, which
+    # a one-command run never shares with another run
+    for order in (STATICS, STATICS[::-1]):
+        for name in order:
+            out = tmp_path / f"{name}.csv"
+            run(name, out)
+            assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes(), (order, name)
 
 
-def runtime_deps_runs():
-    """``{check: {config name: command}}`` of the workflow's ``runtime-deps`` job.
-
-    Each of its steps that loops over ``command:name`` pairs runs
-    :data:`RUN_LINE` and all the lines of one of :data:`CHECK_LINES`.
-    """
-    job = re.search(r"^  runtime-deps:\n(.*?)(?=^  \S|\Z)", WORKFLOW.read_text(), re.M | re.S)
-    assert job, "no runtime-deps job"
-    runs = {check: {} for check in CHECK_LINES}
-    for step in re.split(r"^ +- name: ", job.group(1), flags=re.M)[1:]:
-        loop = re.search(r"for run in ([^;]*); do", step)
-        if loop is None:
-            continue
-        lines = {line.strip() for line in step.splitlines()}
-        assert RUN_LINE in lines, step
-        checks = [check for check, needed in CHECK_LINES.items() if lines >= set(needed)]
-        assert len(checks) == 1, step
-        (check,) = checks
-        for run in loop.group(1).split():
-            command, name = run.split(":")
-            runs[check][name] = command
-    return runs
-
-
-def test_ci_runs_every_golden_config():
-    runs = runtime_deps_runs()
-    for name in (*runs["cmp"], *runs["diff"]):
-        assert (ROOT / "configs" / f"{name}.ini").is_file(), name
-        assert (GOLDEN / f"{name}.csv").is_file(), name
-    goldens = {path.stem for path in GOLDEN.glob("*.csv")}
-    assert runs["cmp"] == {name: COMMANDS[name] for name in goldens & STATICS}
-    assert runs["diff"] == {name: COMMANDS[name] for name in goldens - STATICS}
-    # the fifth column that the status check cuts is each scan's status
-    for name, command in runs["diff"].items():
-        lines = (GOLDEN / f"{name}.csv").read_text().splitlines()
-        columns = [line for line in lines if not line.startswith("#")][0]
-        assert (columns.split(",")[4] == "status") == (command == "scan"), name
+def test_ci_runs_this_file_on_the_run_time_dependencies():
+    # the runtime-deps job: its steps up to the next blank line
+    job = WORKFLOW.read_text().split("\n  runtime-deps:\n")[1].split("\n\n")[0]
+    assert "pip install -e . pytest" in job
+    assert "python -m pytest -q --noconftest tests/test_golden.py" in job

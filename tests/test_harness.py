@@ -241,15 +241,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ordered"):
             parse_config(text)
 
-    def test_log_range_whose_power_overflows_rejected(self):
-        # stop / start is finite, but the top point's power overflows, which
-        # raised OverflowError when the runner built the points
+    def test_log_range_up_to_the_float_max_has_exact_ends(self):
+        # stop / start is finite, but start * ratio ** 198 would overflow: the
+        # top point is stop itself
         text = MINIMAL + sweep("thickness", 1.0, 1.79769313486231e308, 199) + "spacing = log\n"
-        with pytest.raises(ConfigError, match="overflows") as excinfo:
-            parse_config(text)
-        assert excinfo.value.section == "sweep"
+        values = parse_config(text).sweep.values()
+        assert (values[0], values[-1], len(values)) == (1.0, 1.79769313486231e308, 199)
+        assert all(math.isfinite(value) for value in values)
         text = text.replace("stop = 1.79769313486231e+308", "stop = 1e200")
-        assert parse_config(text).sweep.values()[-1] == pytest.approx(1e200, rel=1e-9)
+        assert parse_config(text).sweep.values()[-1] == 1e200
+
+    @pytest.mark.parametrize(
+        "name", ["couplings_displacement_sweep.ini", "mechanics_thickness_sweep.ini"]
+    )
+    def test_bundled_sweep_ends_on_its_stop(self, name):
+        # start + step * i and start * ratio ** i miss stop by rounding on these two
+        settings = parse_config(read_config(name)).sweep
+        values = settings.values()
+        ends = (values[0], values[-1], len(values))
+        assert ends == (settings.start, settings.stop, settings.points)
 
     def test_unknown_sweep_variable_rejected(self):
         text = MINIMAL + "\n[sweep]\nvariable = gap\nstart = 1e-9\nstop = 2e-9\npoints = 2\n"

@@ -21,10 +21,7 @@ from transducer_sim import (
     SweepSettings,
     TransferSystem,
     integrate,
-    parse_config,
 )
-
-from test_harness import MINIMAL
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,12 +141,3 @@ def test_sweep_range_must_be_finite(start, stop):
     # the parser refuses such a value first; a sweep built in Python is checked too
     with pytest.raises(ValueError, match="start and stop must be finite"):
         SweepSettings("bias_voltage", start, stop, 3)
-
-
-def test_config_equality_ignores_hash():
-    # the same experiment from two documents: only the hash differs
-    plain, commented = parse_config(MINIMAL), parse_config("# a comment\n" + MINIMAL)
-    assert plain.config_hash != commented.config_hash
-    assert plain == commented
-    assert not plain != commented
-    assert hash(plain) == hash(commented)
