@@ -110,9 +110,9 @@ class SimulationSettings(NamedTuple):
     duration: float | None = None       # s
 
     def _check(self):
-        if self.duration is not None and self.duration < 0:
+        if self.duration is not None and not self.duration >= 0:
             raise ValueError("duration_s must be nonnegative")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ValueError("temperature_k must be nonnegative")
         if not self.mode_frequency > 0:
             raise ValueError("mode_frequency_hz must be positive")

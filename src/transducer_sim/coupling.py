@@ -105,7 +105,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose occupation 1/(exp(hbar w / kB T) - 1); zero at T = 0 by limit."""
     if not omega > 0:
         raise ValueError("omega must be positive")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError("temperature must be nonnegative")
     if temperature == 0.0:
         return 0.0

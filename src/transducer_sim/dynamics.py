@@ -36,23 +36,27 @@ The scheme is linear and the same at every step, so the core composes
 16 steps into one precomputed block map: a block reads the comb once
 (its sums against rot_h^p, p = 0..32), gets every step's bright
 amplitudes and comb injections from that map, and writes the comb once.
-The detunings come in +- pairs, whose rot_h are complex conjugates, so
-the core holds each pair in a sum and difference basis in which the read
-and the write are each one real product with one table of half the comb,
-rot_h^p of one member per pair; the write reads it backwards, since
-conj(rot_h^p) = rot_h^(2L - p) conj(rot_h^2L) for a block of L steps.
-The modes without a partner, the zero-detuning mode (N even) and the top
-edge mode, step inside the block map.  What depends on the comb and the
-step alone (the pair power table, the kernel sums, the Toeplitz read of
-the block map and the fidelity form) is built once per (mode_spacing,
-mode_count, dt) and held, read-only, until a run on another comb or step,
-so the points of a scan on one comb share it; each run builds only its
-block map, in three array operations per step.  Every run records: the
-blocks write their step rows into a buffer of 64 blocks, read into
-samples in one vectorised pass when it is full or the run ends, and a
-step's fidelity is the squared comb norm at the buffer's start (one
-``vdot``) plus the gains of the steps up to it.  So a block makes six array
-operations, and the buffer's size is the same however long the run.
+The core steps every amplitude turned by exp(i delta_w t / 2): a scalar
+added to the diagonal integrating factor leaves Lawson's
+interaction-picture equation, and so the steps, unchanged.  In that
+frame mode i sits at (i - (N - 1) / 2) delta_w, so for the even N that
+TransferSystem takes, mode i pairs with mode N - 1 - i at the opposite
+detuning.  Their rot_h are complex conjugates, so the core holds each
+pair in a sum and difference basis in which the read and the write are
+each one real product with one table of half the comb, rot_h^p of the
+lower half; the write reads it backwards, since conj(rot_h^p) =
+rot_h^(2L - p) conj(rot_h^2L) for a block of L steps.  What depends on
+the comb and the step alone (the pair power table, the kernel sums, the
+Toeplitz read of the block map and the fidelity form) is built once per
+(mode_spacing, mode_count, dt) and held, read-only, until a run on
+another comb or step, so the points of a scan on one comb share it; each
+run builds only its block map, in three array operations per step.
+Every run records: the blocks write their step rows into a buffer of 64
+blocks, read into samples in one vectorised pass when it is full or the
+run ends, and a step's fidelity is the squared comb norm at the buffer's
+start (one ``vdot``) plus the gains of the steps up to it.  So a block
+makes six array operations, and the buffer's size is the same however
+long the run.
 
 numpy is imported by the functions that build and step a trajectory, not
 when this module loads, so a process that runs only the statics loads the
@@ -106,7 +110,7 @@ _BLOCK = 16
 
 #: blocks whose step rows are buffered before they are read into samples
 #: (_CHUNK x 9 _BLOCK complex numbers, 147 kB: the bound keeps a long run's
-#: memory flat); even, so each chunk starts on _advance's first block input
+#: memory flat)
 _CHUNK = 64
 
 
@@ -140,8 +144,9 @@ class TransferSystem(NamedTuple):
             raise ConfigError("decay rates must be nonnegative")
         if not self.mode_spacing > 0:
             raise ConfigError("mode_spacing must be positive")
-        if self.mode_count < 2:
-            raise ConfigError("mode_count must be at least 2")
+        # the stepping core pairs mode i with mode N - 1 - i (_advance)
+        if self.mode_count < 2 or self.mode_count % 2:
+            raise ConfigError("mode_count must be even and at least 2")
         if self.mode_count > MAX_MODE_COUNT:
             raise ConfigError(
                 f"mode_count exceeds {MAX_MODE_COUNT}; the photon comb would "
@@ -208,10 +213,10 @@ def step_plan(system: TransferSystem, duration: float):
     Raises
     ------
     ConfigError
-        If the duration is negative, runs into the discretization revival,
-        or takes more than :data:`MAX_STEPS` steps.
+        If the duration is negative or NaN, runs into the discretization
+        revival, or takes more than :data:`MAX_STEPS` steps.
     """
-    if duration < 0:
+    if not duration >= 0:
         raise ConfigError("duration must be nonnegative")
     if duration > _REVIVAL_SAFETY * system.revival_time:
         raise ConfigError(
@@ -232,18 +237,19 @@ def step_plan(system: TransferSystem, duration: float):
     return n_steps, duration / n_steps
 
 
-def _step_map(system: TransferSystem, dt: float, rot_h_sum: complex) -> np.ndarray:
-    """One Lawson RK4 step as a 6 x 6 matrix.
+def _step_map(system: TransferSystem, dt: float, rot_h_sum: float) -> np.ndarray:
+    """One Lawson RK4 step, in the turned frame, as a 6 x 6 matrix.
 
     Maps (x1, x2, x3, s0, s1, s2), the bright amplitudes and the comb sums
     s_p = sum_j rot_h_j^p c_wj, to the stage scalars (q0, q1, q2) of the
     comb update c <- rot (c + q0) + rot_h q1 + q2 and the next bright
     amplitudes, in that order (:func:`_block_map` lays its rows out so).
-    The integrating factor holds the comb rotation and the decay
-    exp(-Gamma t / 2) of the phonon and circuit amplitudes (d2, d3 per half
-    step), so the stages see only the couplings.  The comb's share of those
-    is the uniform drive -kappa' c1, so each stage needs one comb sum: that
-    of rot_h (c - kp x1 h/2), rot_h c - kp u1 h/2 or rot c - kp rot_h v1 h.
+    The integrating factor holds the comb rotation, the frame's turn
+    exp(i delta_w t / 2) of every amplitude and the decay exp(-Gamma t / 2)
+    of the phonon and circuit amplitudes (d per half step), so the stages
+    see only the couplings.  The comb's share of those is the uniform drive
+    -kappa' c1, so each stage needs one comb sum: that of
+    rot_h (c - kp x1 h/2), rot_h c - kp u1 h/2 or rot c - kp rot_h v1 h.
     ``rot_h_sum`` is sum_j rot_h_j.
     """
     import numpy as np
@@ -252,59 +258,33 @@ def _step_map(system: TransferSystem, dt: float, rot_h_sum: complex) -> np.ndarr
     half, sixth = 0.5 * dt, dt / 6.0
     kp_rot_h = kp * rot_h_sum
     kp_n = kp * system.mode_count
-    # half-step integrating factors of the phonon and circuit losses
-    d2 = math.exp(-0.25 * dt * system.gamma_m)
-    d3 = math.exp(-0.25 * dt * system.gamma_lc)
+    # half-step integrating factors of the three bright amplitudes
+    losses = np.array([0.0, system.gamma_m, system.gamma_lc])
+    d = np.exp(0.25 * dt * (1j * system.mode_spacing - losses))[:, None]
+    coupling = -1j * np.array([[0.0, g1, 0.0], [g1, 0.0, g2], [0.0, g2, 0.0]])
 
-    def rates(a1, a2, a3, comb_sum):
-        return (
-            -1j * g1 * a2 + kp * comb_sum,
-            -1j * (g1 * a1 + g2 * a3),
-            -1j * g2 * a2,
-        )
+    def rates(a, comb_sum):
+        r = coupling @ a
+        r[0] += kp * comb_sum
+        return r
 
-    def one_step(x1, x2, x3, s0, s1, s2):
-        a1, a2, a3 = rates(x1, x2, x3, s0)
-        u1, u2, u3 = x1 + half * a1, d2 * (x2 + half * a2), d3 * (x3 + half * a3)
-        b1, b2, b3 = rates(u1, u2, u3, s1 - half * kp_rot_h * x1)
-        v1, v2, v3 = x1 + half * b1, d2 * x2 + half * b2, d3 * x3 + half * b3
-        e1, e2, e3 = rates(v1, v2, v3, s1 - half * kp_n * u1)
-        w1, w2, w3 = x1 + dt * e1, d2 * (d2 * x2 + dt * e2), d3 * (d3 * x3 + dt * e3)
-        f1, f2, f3 = rates(w1, w2, w3, s2 - dt * kp_rot_h * v1)
-        return (
-            -sixth * kp * x1,
-            -2.0 * sixth * kp * (u1 + v1),
-            -sixth * kp * w1,
-            x1 + sixth * (a1 + 2.0 * (b1 + e1) + f1),
-            d2 * (d2 * (x2 + sixth * a2) + 2.0 * sixth * (b2 + e2)) + sixth * f2,
-            d3 * (d3 * (x3 + sixth * a3) + 2.0 * sixth * (b3 + e3)) + sixth * f3,
-        )
-
-    # the step is linear: its columns are the images of the six unit inputs
-    return np.array([one_step(*unit) for unit in np.eye(6).tolist()]).T
+    # the step is linear: run it on the six unit inputs at once, as columns
+    x, (s0, s1, s2) = np.split(np.eye(6), 2)
+    a = rates(x, s0)
+    u = d * (x + half * a)
+    b = rates(u, s1 - half * kp_rot_h * x[0])
+    v = d * x + half * b
+    e = rates(v, s1 - half * kp_n * u[0])
+    w = d * (d * x + dt * e)
+    f = rates(w, s2 - dt * kp_rot_h * v[0])
+    q = -sixth * kp * np.array([x[0], 2.0 * (u[0] + v[0]), w[0]])
+    return np.vstack((q, d * (d * (x + sixth * a) + 2.0 * sixth * (b + e)) + sixth * f))
 
 
 #: the tables of the last comb and step, keyed by (mode_spacing,
 #: mode_count, dt); one entry, dropped before the next is built, so two
 #: tables never live at once
 _held_tables = {}
-
-
-def _pairing(mode_count: int):
-    """``(low, high, single)``: the comb's mode indices, in conjugate pairs or single.
-
-    Mode i sits at detuning (i + 1 - N/2) delta_w, so modes i and N - 2 - i
-    sit at opposite detunings and their rot_h are complex conjugates:
-    ``low[k]`` (below zero) pairs with ``high[k]``.  ``single`` holds the
-    modes without a partner: the zero-detuning mode when N is even, then
-    the top edge mode at N delta_w / 2.
-    """
-    import numpy as np
-
-    n_pairs = (mode_count - 1) // 2
-    low = np.arange(n_pairs)
-    single = [*range(n_pairs, mode_count - 1 - n_pairs), mode_count - 1]
-    return low, mode_count - 2 - low, np.array(single)
 
 
 def _comb_tables(system: TransferSystem, dt: float):
@@ -322,96 +302,85 @@ def _comb_tables(system: TransferSystem, dt: float):
 
 
 def _build_comb_tables(system: TransferSystem, dt: float):
-    """``(pairs, singles, kernel, sums, form)``: one comb and step, read-only.
+    """``(pairs, kernel, sums, form)``: one comb and step, read-only.
 
-    Row p (p = 0..2 _BLOCK) of ``pairs`` is rot_h^p of the low member of
-    each conjugate pair (:func:`_pairing`), the one table that both the
-    comb read and the comb write of :func:`_advance` take, and ``singles``
-    rot_h^p of the single modes; the kernel
-    G(p) = sum_j rot_h_j^p runs over the whole comb.  ``sums`` is the
-    Toeplitz read of the comb sums (:func:`_block_map`) and ``form`` the
-    |c|^2 gain form (:func:`_read_chunk`).
+    Row p (p = 0..2 _BLOCK) of ``pairs`` is rot_h^p of the lower half of
+    the turned comb, mode i at (i - (N - 1) / 2) delta_w, whose conjugate
+    partner is mode N - 1 - i: the one table that both the comb read and
+    the comb write of :func:`_advance` take.  The kernel
+    G(p) = sum_j rot_h_j^p over the whole comb is 2 Re sum pairs[p].
+    ``sums`` is the Toeplitz read of the comb sums (:func:`_block_map`) and
+    ``form`` the |c|^2 gain form (:func:`_read_chunk`).
     """
     import numpy as np
 
     n_pow = 2 * _BLOCK + 1
-    low, _, single = _pairing(system.mode_count)
-    rot_h = np.exp(-0.5j * dt * system.detunings)
-    power = np.ones_like(rot_h)
-    pairs = np.empty((n_pow, low.size), dtype=complex)
-    singles = np.empty((n_pow, single.size), dtype=complex)
-    g = np.empty(n_pow, dtype=complex)
-    for p in range(n_pow):
-        pairs[p], singles[p], g[p] = power[low], power[single], power.sum()
-        power *= rot_h
+    n_pairs = system.mode_count // 2
+    rot_h = np.exp(-0.5j * dt * system.mode_spacing * (np.arange(n_pairs) - (n_pairs - 0.5)))
+    pairs = np.empty((n_pow, n_pairs), dtype=complex)
+    pairs[0] = 1.0
+    for p in range(1, n_pow):
+        np.multiply(pairs[p - 1], rot_h, out=pairs[p])
+    g = 2.0 * pairs.sum(axis=1).real
     lags = np.subtract.outer(np.arange(n_pow), np.arange(n_pow))
-    # row a: G(a - e) on the injections in row e, then F_a itself
-    sums = np.hstack((np.tril(g[np.abs(lags)]), np.eye(n_pow)))
+    # row a: G(a - e) on the injections in row e, then F_a itself; complex,
+    # so that its products with the block map's complex chain cast nothing
+    sums = np.hstack((np.tril(g[np.abs(lags)]), np.eye(n_pow))).astype(complex)
     # the |c|^2 gain of a step is Re(u^H K u) for u = (q, s), with
-    # K = [[T, 1], [1, 0]]; ``form`` holds K transposed for row-wise u
+    # K = [[T, 1], [1, 0]], T[a, b] = G(a - b); ``form`` holds K transposed
+    # for row-wise u, and G is real
     form = np.zeros((6, 6), dtype=complex)
-    form[:3, :3] = [
-        [g[0], g[1], g[2]],
-        [g[1].conj(), g[0], g[1]],
-        [g[2].conj(), g[1].conj(), g[0]],
-    ]
+    form[:3, :3] = g[np.abs(lags[:3, :3])]
     form[:3, 3:] = form[3:, :3] = np.eye(3)
-    tables = pairs, singles, g, sums, form
+    tables = pairs, g, sums, form
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _block_map(step_map: np.ndarray, sums: np.ndarray, singles: np.ndarray, lengths):
+def _block_map(step_map: np.ndarray, sums: np.ndarray, lengths):
     """``_BLOCK`` = B steps of ``step_map`` as linear maps of one block input.
 
-    The input is z = (e, x1, x2, x3, F_0..F_2B): the U single modes e
-    (rot_h^p of each is a column of ``singles``), the bright amplitudes,
-    and the pair read F_p at the block start, which is sum_j rot_h_j^p c_wj
-    over the paired modes divided by sqrt 2 (:func:`_advance`).  After k
-    steps the comb is rot_h^2k c + sum_p h_p rot_h^p, where q_i of step m
-    sits at exponent 2 (k - m) - i, so the comb sums of step k are the
-    whole comb's sums at the block start, index 2k + i, plus the kernel
-    term sum_p h_p G(p + i) of the block's own injections: row 2k + i of
-    ``sums`` (:func:`_build_comb_tables`).  ``step_map`` is
-    :func:`_step_map`, whose outputs are (q0, q1, q2, x1, x2, x3).
+    The input is z = (x1, x2, x3, F_0..F_2B): the bright amplitudes and the
+    comb read F_p at the block start, which is sum_j rot_h_j^p c_wj divided
+    by sqrt 2 (:func:`_advance`).  After k steps the comb is
+    rot_h^2k c + sum_p h_p rot_h^p, where q_i of step m sits at exponent
+    2 (k - m) - i, so the comb sums of step k are the comb's sums at the
+    block start, index 2k + i, plus the kernel term sum_p h_p G(p + i) of
+    the block's own injections: row 2k + i of ``sums``
+    (:func:`_build_comb_tables`).  ``step_map`` is :func:`_step_map`,
+    whose outputs are (q0, q1, q2, x1, x2, x3).
 
-    Returns ``steps`` (9 B, U + 2B + 4), whose nine rows for step k are the
+    Returns ``steps`` (9 B, 2B + 4), whose nine rows for step k are the
     bright amplitudes after it, its stage scalars (q0, q1, q2) and its comb
     sums (s0, s1, s2), and ``combs``, which maps each block length L in
-    ``lengths`` to the block's output (U + 2B + 4, U + 2B + 4) after L
-    steps: the single modes rot_h^2L e + sum_p h_p rot_h^p, the bright
-    amplitudes, and sqrt 2 h, the injections as the pairs take them, in
-    chain order: slot j (j = 0..2L) holds h_(2L - j), so the write reads
+    ``lengths`` to the block's output (2B + 4, 2B + 4) after L steps: the
+    bright amplitudes and sqrt 2 h, the injections as the pairs take them,
+    in chain order: slot j (j = 0..2L) holds h_(2L - j), so the write reads
     the pair table backwards.  ``steps`` is causal: the first L steps of a
     block need only their first 9 L rows.
     """
     import numpy as np
 
     n_pow = 2 * _BLOCK + 1
-    u = singles.shape[1]
-    width = u + 3 + n_pow
+    width = 3 + n_pow
     # rows (q_(k-1), x_k, s_k) per step k: step k reads x_k and s_k as one
     # slice and writes (q_k, x_(k+1)) at the head of step k + 1's rows
     rows = np.zeros((_BLOCK + 1, 9, width), dtype=complex)
-    np.fill_diagonal(rows[0, 3:6, u : u + 3], 1.0)
+    np.fill_diagonal(rows[0, 3:6], 1.0)
     # q_i of step m accumulates in row 2m + i, so h_p after k steps is row
-    # 2k - p; the rows below hold the whole comb's sums at the block start
+    # 2k - p; the rows below hold the comb's sums at the block start
     chain = np.zeros((2 * n_pow, width), dtype=complex)
-    chain[n_pow:, :u] = singles
-    np.fill_diagonal(chain[n_pow:, u + 3 :], math.sqrt(2.0))
+    np.fill_diagonal(chain[n_pow:, 3:], math.sqrt(2.0))
     combs = {}
     for k in range(_BLOCK):
         np.dot(sums[2 * k : 2 * k + 3], chain, out=rows[k, 6:])
         np.dot(step_map, rows[k, 3:], out=rows[k + 1, :6])
         chain[2 * k : 2 * k + 3] += rows[k + 1, :3]
         if k + 1 in lengths:
-            h = chain[: 2 * k + 3]
             combs[k + 1] = carry = np.zeros((width, width), dtype=complex)
-            np.matmul(singles[2 * k + 2 :: -1].T, h, out=carry[:u])
-            carry[:u, :u].flat[:: u + 1] += singles[2 * k + 2]
-            carry[u : u + 3] = rows[k + 1, 3:6]
-            carry[u + 3 : u + 2 * k + 6] = math.sqrt(2.0) * h
+            carry[:3] = rows[k + 1, 3:6]
+            carry[3 : 2 * k + 6] = math.sqrt(2.0) * chain[: 2 * k + 3]
     # step k's rows in the order (x_(k+1), q_k, s_k)
     order = rows[1:, 3:6], rows[1:, :3], rows[:-1, 6:]
     return np.concatenate(order, axis=1).reshape(-1, width), combs
@@ -426,26 +395,28 @@ def _advance(
 ):
     """The stepping core: ``n_steps`` Lawson RK4 steps of ``dt`` from ``y``.
 
-    Runs in blocks of ``_BLOCK`` = B steps on the comb in its pair basis.
-    A conjugate pair (c_a, c_b) of modes (:func:`_pairing`) is held as
+    Runs in blocks of ``_BLOCK`` = B steps on the turned comb in its pair
+    basis.  The lower half's mode c_a and its conjugate partner c_b
+    (:func:`_build_comb_tables`) are held as
     w = (conj(c_a) + c_b, i (conj(c_a) - c_b)) / sqrt 2, which keeps |c|^2
     and turns by conj(rot_h_a) in both entries, and its comb sums
     rot_h_a^p c_a + conj(rot_h_a^p) c_b are real products of w.  So a block
-    reads the paired comb once, as the real product of the table P of
-    rot_h^p (``pairs``) with w, and writes it once, as
+    reads the comb once, as the real product of the table P of rot_h^p
+    (``pairs``) with w, and writes it once, as
     w <- conj(P[2L]) (w + sqrt 2 (Re h', Im h') P), one more real product
     with the same table, where h'_j = h_(2L - j) holds the injections in
     reverse order (:func:`_block_map`): since |rot_h| = 1, conj(P[p]) =
     P[2L - p] conj(P[2L]), so this is conj(P[2L]) w + sqrt 2 sum_p
-    (Re h_p, Im h_p) conj(P[p]).  The modes without a partner ride in the
-    block input.  The tables are shared with the runs before it on the
-    same comb and step (:func:`_comb_tables`).  Two precomputed maps
-    (:func:`_block_map`) take the block input to the bright amplitudes,
-    stage scalars and comb sums of all its L steps, and to what the block
-    carries over: the single modes, the bright amplitudes and the
+    (Re h_p, Im h_p) conj(P[p]).  The tables are shared with the runs
+    before it on the same comb and step (:func:`_comb_tables`).  Two
+    precomputed maps (:func:`_block_map`) take the block input to the
+    bright amplitudes, stage scalars and comb sums of all its L steps, and
+    to what the block carries over: the bright amplitudes and the
     injections h.  The block writes those step rows into a buffer of
     ``_CHUNK`` blocks, the first of which also takes |c|^2 (one ``vdot``);
-    nothing else is read while stepping.  A full buffer, or the last, is read by :func:`_read_chunk`.
+    nothing else is read while stepping.  A full buffer, or the last, is
+    read by :func:`_read_chunk`.  The final amplitudes are turned back by
+    exp(-i delta_w t / 2), into the caller's frame.
 
     Returns the final amplitude vector and the samples ``(t, |c1|^2,
     |c2|^2, |c3|^2, survival, fidelity)``, one row each, at step 0 and at
@@ -454,40 +425,36 @@ def _advance(
     """
     import numpy as np
 
-    pairs, singles, kernel, sums, form = _comb_tables(system, dt)
+    pairs, kernel, sums, form = _comb_tables(system, dt)
     # the comb injections are needed at the block lengths this run takes
     steps, combs = _block_map(
-        _step_map(system, dt, kernel[1]),
-        sums,
-        singles,
-        {min(_BLOCK, n_steps), n_steps % _BLOCK},
+        _step_map(system, dt, kernel[1]), sums, {min(_BLOCK, n_steps), n_steps % _BLOCK}
     )
     # each block length's rotation, the same shape as w: a broadcast row
     # multiplies at a third of the speed
     turns = {size: pairs[2 * size].conj()[None].repeat(2, 0) for size in combs}
-    low, high, single = _pairing(system.mode_count)
-    u, n_w = single.size, 2 * low.size
+    n_pairs = pairs.shape[1]
 
-    # w, then two block inputs z = (e, x, F) that the blocks take in turn:
-    # a block's carry product writes (e, x, sqrt 2 h) into the other, whose
-    # F slot the write product reads h from before the next block's read
-    # overwrites it.  With the first, (w, e) is the whole comb
-    buffer = np.empty(n_w + 2 * steps.shape[1], dtype=complex)
-    comb, w = buffer[: n_w + u], buffer[:n_w].reshape(2, low.size)
+    # two block inputs z = (x, F) that the blocks take in turn: a block's
+    # carry product writes (x, sqrt 2 h) into the other, whose F slot the
+    # write product reads h from before the next block's read overwrites it
     here, there = [
-        (z, f := z[u + 3 :].view(float).reshape(-1, 2), f.T) for z in np.split(buffer[n_w:], 2)
+        (z, f := z[3:].view(float).reshape(-1, 2), f.T)
+        for z in np.empty((2, steps.shape[1]), dtype=complex)
     ]
+    w = np.empty((2, n_pairs), dtype=complex)
     w_real = w.view(float)
     w_cols, gain = w_real.T, np.empty_like(w_real)
     pairs_real = pairs.view(float)
 
-    c, z = y[3:], here[0]
-    w[0] = (c[low].conj() + c[high]) / math.sqrt(2.0)
-    w[1] = 1j * (c[low].conj() - c[high]) / math.sqrt(2.0)
-    z[:u], z[u : u + 3] = c[single], y[:3]
+    # entry 3 + k of y, below zero detuning, pairs with entry N + 2 - k
+    low, high = y[3 : 3 + n_pairs].conj(), y[: 2 + n_pairs : -1]
+    w[0] = (low + high) / math.sqrt(2.0)
+    w[1] = 1j * (low - high) / math.sqrt(2.0)
+    here[0][:3] = y[:3]
     chunk = np.empty((_CHUNK, 9 * _BLOCK), dtype=complex)
     p = np.abs(y[:3]) ** 2
-    norm = np.vdot(comb, comb).real
+    norm = np.vdot(w, w).real
     samples = [[[0.0, *p, p.sum() + norm, norm]]]
     # np.dot: these products are small enough for np.matmul's dispatch to show
     for start in range(0, n_steps, _BLOCK):
@@ -495,7 +462,7 @@ def _advance(
         b = start // _BLOCK % _CHUNK
         (z, read, _), (z_next, _, h) = here, there
         if not b:
-            norm = np.vdot(comb, comb).real
+            norm = np.vdot(w, w).real
         np.dot(pairs_real, w_cols, out=read)
         np.dot(steps, z, out=chunk[b])
         np.dot(combs[size], z, out=z_next)
@@ -508,11 +475,10 @@ def _advance(
             picked = np.flatnonzero((ran % record_every == 0) | (ran == n_steps))
             if picked.size:
                 samples.append(_read_chunk(chunk, norm, form, picked, ran[picked] * dt))
-    c, z = np.empty_like(c), here[0]
-    c[low] = (w[0] - 1j * w[1]).conj() / math.sqrt(2.0)
-    c[high] = (w[0] + 1j * w[1]) / math.sqrt(2.0)
-    c[single] = z[:u]
-    return np.concatenate((z[u : u + 3], c)), np.concatenate(samples)
+    low = (w[0] - 1j * w[1]).conj() / math.sqrt(2.0)
+    high = (w[0] + 1j * w[1]) / math.sqrt(2.0)
+    y = np.concatenate((here[0][:3], low, high[::-1]))
+    return y * np.exp(-0.5j * system.mode_spacing * n_steps * dt), np.concatenate(samples)
 
 
 def _read_chunk(chunk, norm, form, picked, times):

@@ -82,7 +82,7 @@ class MembraneGeometry(NamedTuple):
         for name in ("length", "width", "thickness", "youngs_modulus", "density"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.pre_tension < 0:
+        if not self.pre_tension >= 0:
             raise ValueError("pre_tension must be nonnegative")
         if not self.clamping_coefficient > 0:
             raise ValueError("clamping_coefficient must be positive")
@@ -110,7 +110,7 @@ class ElectrostaticEnvironment(NamedTuple):
     def _check(self):
         if not self.gap > 0:
             raise ValueError("gap must be positive")
-        if self.bias_voltage < 0:
+        if not self.bias_voltage >= 0:
             raise ValueError("bias_voltage must be nonnegative")
 
 

@@ -188,7 +188,7 @@ class TestSystemConstruction:
         with pytest.raises(ConfigError, match="mode_count"):
             TransferSystem(
                 g_om=G50, g_em=G50, kappa=0.0, gamma_m=0.0, gamma_lc=0.0,
-                mode_spacing=TWO_PI * 1e6, mode_count=MAX_MODE_COUNT + 1,
+                mode_spacing=TWO_PI * 1e6, mode_count=MAX_MODE_COUNT + 2,
             )
         # the default comb for a rate of 1e300 Hz asks for ~1e295 modes
         with pytest.raises(ConfigError, match="mode_count"):
@@ -491,16 +491,14 @@ class TestCombTables:
         assert other.mode_count == 2000
         integrate(other, 10e-9)
         assert all(table() is None for table in old)
-        # one table of 999 conjugate pairs, plus the zero-detuning and edge modes
-        pairs, singles = held_tables()[:2]
-        assert pairs.shape == (2 * _BLOCK + 1, 999)
-        assert singles.shape == (2 * _BLOCK + 1, 2)
+        # one table of 1000 conjugate pairs, and no mode without a partner
+        assert held_tables()[0].shape == (2 * _BLOCK + 1, 1000)
 
-    @pytest.mark.parametrize("mode_count", [500, 501, 2000])
+    @pytest.mark.parametrize("mode_count", [500, 502, 2000])
     def test_tables_fit_in_one_complex_power_table(self, mode_count):
         # the pair table takes no more than half a complex table of 2B + 1
         # rows of the comb length; the other tables are no larger than those
-        # of the two-mode comb, whose two modes are both single
+        # of the two-mode comb, a single pair
         def tables(mode_count):
             system = TransferSystem(
                 g_om=G50, g_em=G50, kappa=TWO_PI * 0.1e6, gamma_m=0.0, gamma_lc=0.0,

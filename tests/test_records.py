@@ -21,7 +21,9 @@ from transducer_sim import (
     SweepSettings,
     TransferSystem,
     integrate,
+    thermal_occupation,
 )
+from transducer_sim.dynamics import step_plan
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,9 +78,18 @@ CASES = {
         ),
         ("mode_count", 1),
         ConfigError,
-        "mode_count must be at least 2",
+        "mode_count must be even and at least 2",
     ),
 }
+
+
+# the stepping core pairs every photon mode with its conjugate partner
+CASES["TransferSystem, odd comb"] = (
+    *CASES["TransferSystem"][:2],
+    ("mode_count", 501),
+    ConfigError,
+    "mode_count must be even and at least 2",
+)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -92,6 +103,51 @@ def test_check_runs_on_construction_and_replace(name):
     with pytest.raises(error) as copied:
         valid._replace(**{field: bad})
     assert str(copied.value) == message
+
+
+#: a range check written ``x < 0`` takes NaN, since every comparison with
+#: NaN is false; each of these refuses NaN with its own error and message
+NAN_REFUSALS = {
+    "SimulationSettings.duration": (
+        lambda: SimulationSettings(g_c=1.0, duration=math.nan),
+        ValueError,
+        "duration_s must be nonnegative",
+    ),
+    "SimulationSettings.temperature": (
+        lambda: SimulationSettings(temperature=math.nan),
+        ValueError,
+        "temperature_k must be nonnegative",
+    ),
+    "ElectrostaticEnvironment.bias_voltage": (
+        lambda: ElectrostaticEnvironment(1e-8, math.nan),
+        ValueError,
+        "bias_voltage must be nonnegative",
+    ),
+    "MembraneGeometry.pre_tension": (
+        lambda: MembraneGeometry(110e-9, 1e-6, 1.1e-9, 1e12, pre_tension=math.nan),
+        ValueError,
+        "pre_tension must be nonnegative",
+    ),
+    "step_plan": (
+        lambda: step_plan(TransferSystem(**CASES["TransferSystem"][1]), math.nan),
+        ConfigError,
+        "duration must be nonnegative",
+    ),
+    "thermal_occupation": (
+        lambda: thermal_occupation(TWO_PI * 5e9, math.nan),
+        ValueError,
+        "temperature must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAN_REFUSALS)
+def test_nan_is_refused_by_the_nonnegativity_checks(name):
+    build, error, message = NAN_REFUSALS[name]
+    with pytest.raises(error) as refusal:
+        build()
+    assert type(refusal.value) is error
+    assert str(refusal.value) == message
 
 
 #: a field of a record, a value of the wrong type for it, and the record's
