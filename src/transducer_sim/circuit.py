@@ -36,7 +36,7 @@ class CircuitParams(NamedTuple):
 
 def membrane_capacitance(geom: MembraneGeometry, gap: float, deflection: float) -> float:
     """Parallel-plate membrane capacitance eps0 l w / (gap - x) in farads."""
-    if deflection < 0:
+    if not deflection >= 0:
         raise ValueError("deflection must be nonnegative")
     if deflection >= gap:
         raise ValueError("deflection reaches the electrode (contact)")
@@ -45,7 +45,7 @@ def membrane_capacitance(geom: MembraneGeometry, gap: float, deflection: float) 
 
 def capacitance_gradient(geom: MembraneGeometry, gap: float, deflection: float) -> float:
     """dC_m/dx (F/m), eps0 l w / (gap - x)^2."""
-    if deflection < 0:
+    if not deflection >= 0:
         raise ValueError("deflection must be nonnegative")
     if deflection >= gap:
         raise ValueError("deflection reaches the electrode (contact)")

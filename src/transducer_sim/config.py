@@ -15,9 +15,19 @@ rather than inside a run.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from typing import NamedTuple
+
+# ``hashlib`` loads OpenSSL, megabytes of memory for one digest per run: take
+# the interpreter's own SHA-256 (``_sha2`` from Python 3.12, ``_sha256``
+# before), and ``hashlib``'s only where the interpreter was built without it
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .circuit import DEFAULT_INDUCTANCE
 from .constants import (
@@ -259,5 +269,5 @@ def parse_config(text: str) -> ExperimentConfig:
 
     return ExperimentConfig(
         geometry, environment, inductance, emitter, simulation, sweep,
-        config_hash=hashlib.sha256(text.encode()).hexdigest(),
+        config_hash=sha256(text.encode()).hexdigest(),
     )

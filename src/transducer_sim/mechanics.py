@@ -192,7 +192,7 @@ def elastic_force(geom: MembraneGeometry, deflection: float) -> float:
 
         F = [30.78 w h^3 Y / l^3 + 12.32 T0 / l] d + (8 w h Y / (3 l^3)) d^3
     """
-    if deflection < 0:
+    if not deflection >= 0:
         raise ValueError("deflection is measured toward the electrode; must be >= 0")
     k1, k3, _ = _stiffness(geom)
     return k1 * deflection + k3 * deflection ** 3
@@ -235,7 +235,7 @@ def operating_point_at_deflection(
         If the mode frequency or the effective mass is not a positive
         finite float, as where the geometry overflows or underflows it.
     """
-    if deflection < 0:
+    if not deflection >= 0:
         raise ValueError("deflection must be nonnegative")
     stretch, l2, plate, weight, mass_length, m_eff = _mode_factors(geom)
     tension = geom.pre_tension + stretch * (2.0 * deflection ** 2 / l2)

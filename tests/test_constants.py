@@ -6,10 +6,13 @@ run imports scipy.  The literals must be the very floats
 ``import transducer_sim`` and the statics runs (``mechanics``,
 ``couplings``) load only the standard library, and of it neither
 ``dataclasses`` nor ``inspect``; numpy is imported when a trajectory is
-built.  These tests read the package in a fresh process, because this
-test process has scipy and numpy loaded already.
+built.  No run loads OpenSSL (``_hashlib``): the config hash comes from
+the interpreter's own SHA-256.  These tests read the package in a fresh
+process, because this test process has scipy, numpy and ``hashlib``
+loaded already.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,6 +23,7 @@ import scipy.constants
 from test_harness import MINIMAL, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 #: package constant -> its name in scipy.constants
 NAMES = {
@@ -45,17 +49,44 @@ src, runs = sys.argv[1:]
 sys.path.insert(0, src)
 SLOW = ("dataclasses", "inspect")
 import transducer_sim
-from transducer_sim import cli
+from transducer_sim import cli, config
 codes, numpy = [], []
 slow = [[m for m in SLOW if m in sys.modules]]
+openssl = ["_hashlib" in sys.modules]
 for argv in json.loads(runs):
     codes.append(cli.main(argv))
     numpy.append("numpy" in sys.modules)
     slow.append([m for m in SLOW if m in sys.modules])
+    openssl.append("_hashlib" in sys.modules)
 print(json.dumps({
     "codes": codes, "numpy": numpy, "slow": slow, "scipy": "scipy" in sys.modules,
+    "openssl": openssl, "sha256": config.sha256.__module__,
 }))
 """
+
+NUMPY_IMPORT = """
+import json, sys
+import numpy
+print(json.dumps({"openssl": "_hashlib" in sys.modules}))
+"""
+
+#: the config hash of each document in a fresh process
+DIGESTS = """
+import hashlib, json, sys
+src, texts = sys.argv[1:]
+sys.path.insert(0, src)
+from transducer_sim import config
+print(json.dumps({
+    "fallback": config.sha256 is hashlib.sha256,
+    "digests": [config.parse_config(text).config_hash for text in json.loads(texts)],
+}))
+"""
+
+#: ``DIGESTS`` in an interpreter without its own SHA-256 module
+DIGESTS_WITHOUT_BUILTIN_SHA256 = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+""" + DIGESTS
 
 
 def _run(script, arg):
@@ -112,3 +143,27 @@ def test_statics_runs_without_dataclasses_or_inspect(tmp_path):
     report = _run(CLI_RUNS, json.dumps(_cli_runs(tmp_path)))
     assert report["codes"] == [0, 0, 0, 0]
     assert report["slow"][:3] == [[], [], []]
+
+
+def test_no_run_loads_openssl(tmp_path):
+    # numpy before 2.0 imports ``numpy.random`` with itself, and through
+    # ``secrets`` and ``hmac`` OpenSSL: a trajectory run loads no more than
+    # numpy does
+    numpy_openssl = _run(NUMPY_IMPORT, "")["openssl"]
+    report = _run(CLI_RUNS, json.dumps(_cli_runs(tmp_path)))
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["openssl"] == [False, False, False, numpy_openssl, numpy_openssl]
+    if sys.implementation.name == "cpython":
+        # a silent fallback to ``hashlib`` would load OpenSSL again
+        assert report["sha256"] in ("_sha2", "_sha256")
+
+
+def test_config_hash_is_the_same_without_the_builtin_sha256():
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CONFIG_DIR.glob("*.ini"))]
+    texts.append(MINIMAL + "# Kopplung über die Membran, g₀ ≈ 2π·1 kHz\n")
+    expected = [hashlib.sha256(text.encode()).hexdigest() for text in texts]
+    builtin = _run(DIGESTS, json.dumps(texts))
+    fallback = _run(DIGESTS_WITHOUT_BUILTIN_SHA256, json.dumps(texts))
+    assert fallback["fallback"] is True
+    assert fallback["digests"] == expected
+    assert builtin["digests"] == expected

@@ -20,9 +20,13 @@ from transducer_sim import (
     SimulationSettings,
     SweepSettings,
     TransferSystem,
+    elastic_force,
     integrate,
+    membrane_capacitance,
+    operating_point_at_deflection,
     thermal_occupation,
 )
+from transducer_sim.circuit import capacitance_gradient
 from transducer_sim.dynamics import step_plan
 
 TWO_PI = 2.0 * math.pi
@@ -105,6 +109,8 @@ def test_check_runs_on_construction_and_replace(name):
     assert str(copied.value) == message
 
 
+SHEET = MembraneGeometry(**CASES["MembraneGeometry"][1])
+
 #: a range check written ``x < 0`` takes NaN, since every comparison with
 #: NaN is false; each of these refuses NaN with its own error and message
 NAN_REFUSALS = {
@@ -137,6 +143,26 @@ NAN_REFUSALS = {
         lambda: thermal_occupation(TWO_PI * 5e9, math.nan),
         ValueError,
         "temperature must be nonnegative",
+    ),
+    "elastic_force": (
+        lambda: elastic_force(SHEET, math.nan),
+        ValueError,
+        "deflection is measured toward the electrode; must be >= 0",
+    ),
+    "operating_point_at_deflection": (
+        lambda: operating_point_at_deflection(SHEET, math.nan),
+        ValueError,
+        "deflection must be nonnegative",
+    ),
+    "membrane_capacitance": (
+        lambda: membrane_capacitance(SHEET, 1e-8, math.nan),
+        ValueError,
+        "deflection must be nonnegative",
+    ),
+    "capacitance_gradient": (
+        lambda: capacitance_gradient(SHEET, 1e-8, math.nan),
+        ValueError,
+        "deflection must be nonnegative",
     ),
 }
 
