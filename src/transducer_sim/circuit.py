@@ -38,18 +38,9 @@ def membrane_capacitance(geom: MembraneGeometry, gap: float, deflection: float) 
     """Parallel-plate membrane capacitance eps0 l w / (gap - x) in farads."""
     if not deflection >= 0:
         raise ValueError("deflection must be nonnegative")
-    if deflection >= gap:
+    if not deflection < gap:
         raise ValueError("deflection reaches the electrode (contact)")
     return EPSILON_0 * geom.length * geom.width / (gap - deflection)
-
-
-def capacitance_gradient(geom: MembraneGeometry, gap: float, deflection: float) -> float:
-    """dC_m/dx (F/m), eps0 l w / (gap - x)^2."""
-    if not deflection >= 0:
-        raise ValueError("deflection must be nonnegative")
-    if deflection >= gap:
-        raise ValueError("deflection reaches the electrode (contact)")
-    return EPSILON_0 * geom.length * geom.width / (gap - deflection) ** 2
 
 
 def tune_capacitor(inductance: float, omega_target: float, c_membrane: float) -> float:
@@ -63,6 +54,8 @@ def tune_capacitor(inductance: float, omega_target: float, c_membrane: float) ->
     """
     if not inductance > 0 or not omega_target > 0:
         raise ValueError("inductance and target frequency must be positive")
+    if not c_membrane >= 0:
+        raise ValueError("membrane capacitance must be nonnegative")
     c_total = 1.0 / (inductance * omega_target ** 2)
     if c_membrane > c_total:
         raise TuningError(
@@ -119,9 +112,7 @@ def electromechanical_coupling(
     c_m = membrane_capacitance(geom, env.gap, op_point.deflection)
     c_total = c_m + circuit.tuning_capacitance
     static_charge = env.bias_voltage * c_total
-    gradient = (
-        static_charge
-        * capacitance_gradient(geom, env.gap, op_point.deflection)
-        / c_total ** 2
-    )
+    # dC_m/dx = eps0 l w / (gap - x)^2; membrane_capacitance has checked x
+    dc_m = EPSILON_0 * geom.length * geom.width / (env.gap - op_point.deflection) ** 2
+    gradient = static_charge * dc_m / c_total ** 2
     return gradient * op_point.x_zpf * circuit.q_zpf / HBAR

@@ -38,6 +38,6 @@ def stark_shift_to_si(mev_per_volt_per_meter):
 
 def wavelength_to_angular_frequency(wavelength):
     """Vacuum wavelength (m) to angular frequency (rad/s)."""
-    if wavelength <= 0:
+    if not wavelength > 0:
         raise ValueError("wavelength must be positive")
     return TWO_PI * SPEED_OF_LIGHT / wavelength

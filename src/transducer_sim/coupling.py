@@ -3,12 +3,14 @@
 The zero-phonon line of the embedded single-photon emitter shifts with the
 membrane position through two mechanisms: the motion modulates the lattice
 strain (strain coupling) and it modulates the electric field of the biased
-gap (Stark coupling).  A red-detuned drive of Rabi rate Omega converts the
-dispersive shift into an excitation-exchanging coupling of strength
-(Omega/2)(g_om/omega_m).  This module also provides the Bose thermal
-occupation, with which the transfer dynamics enhances its decay rates
-by (n_bar + 1) (inline, in ``dynamics.make_transfer_system``), and the
-cooperativity.
+gap (Stark coupling).  A red-detuned drive of Rabi rate Omega below
+omega_m converts the dispersive shift into an excitation-exchanging
+coupling of strength (Omega/2)(g_om/omega_m).  This module also provides
+the cooperativity and the Bose thermal occupation, with which
+``dynamics.make_transfer_system`` applies one rule to all three baths:
+each nonzero decay rate is multiplied by (n_bar + 1) at its own bath's
+frequency.  Its optical frequency defaults to inf, meaning no optical
+line, whose occupation is exactly zero at any finite temperature.
 
 These are leaf formulas: the runner combines the operating point, the
 circuit and these rates itself, and transfer runs take their matched
@@ -86,7 +88,7 @@ def stark_coupling(
     x_zpf * V / (d - x0)^2; the field derivative is taken at the deflected
     gap, consistently with the electrostatic force model.
     """
-    if op_point.deflection >= env.gap:
+    if not op_point.deflection < env.gap:
         raise ValueError("deflection reaches the electrode (contact)")
     field_gradient = env.bias_voltage / (env.gap - op_point.deflection) ** 2
     return op_point.x_zpf * field_gradient * emitter.stark_shift_coefficient
@@ -95,9 +97,21 @@ def stark_coupling(
 def effective_optomechanical_coupling(
     rabi_rate: float, g_om: float, omega_m: float
 ) -> float:
-    """Drive-reduced red-sideband coupling (Omega/2)(g_om/omega_m) in rad/s."""
+    """Drive-reduced red-sideband coupling (Omega/2)(g_om/omega_m) in rad/s.
+
+    The drive of Rabi rate Omega is assumed red-detuned from the zero-phonon
+    line by Delta = sqrt(omega_m^2 - Omega^2), so that the dressed-state
+    splitting sqrt(Delta^2 + Omega^2) equals omega_m.  The exchange rate is
+    then (g_om/2) sin(theta) with tan(theta) = Omega/Delta, which is this
+    formula; no such detuning Delta > 0 exists unless 0 <= Omega < omega_m.
+    """
     if not omega_m > 0:
         raise ValueError("omega_m must be positive")
+    if not 0 <= rabi_rate < omega_m:
+        raise ValueError(
+            "rabi_rate must lie in [0, omega_m): the drive is detuned by "
+            "sqrt(omega_m^2 - rabi_rate^2)"
+        )
     return 0.5 * rabi_rate * g_om / omega_m
 
 

@@ -599,26 +599,22 @@ def make_transfer_system(
     gamma_lc: float = 0.0,
     temperature: float = 0.0,
     mode_frequency: float = TWO_PI * 5e9,
-    optical_frequency: float | None = None,
+    optical_frequency: float = math.inf,
 ) -> TransferSystem:
     """Matched-coupling system with thermal factors applied to every rate.
 
-    Each nonzero decay rate is multiplied by (n_bar + 1) at the given
-    temperature before the generator is built (a zero rate stays zero, also
-    where n_bar overflows to inf); the mechanical and circuit occupations
-    are evaluated at ``mode_frequency``, the optical one at
-    ``optical_frequency`` (negligible for any optical transition, so None
-    means exactly zero).  The photon comb is the
-    :func:`default_discretization` of ``g_c`` and the enhanced optical
-    decay, so it is wide enough for the decay actually integrated.
+    One rule for all three baths: each nonzero decay rate is multiplied by
+    (n_bar + 1), with n_bar its bath's Bose occupation at the bath's own
+    frequency and the given temperature, before the generator is built (a
+    zero rate stays zero, also where n_bar overflows to inf).  The mechanical and circuit
+    baths sit at ``mode_frequency``, the optical one at
+    ``optical_frequency``; its default, inf, means no optical line, whose
+    occupation is exactly zero at every finite temperature.  The photon
+    comb is the :func:`default_discretization` of ``g_c`` and the enhanced
+    optical decay, so it is wide enough for the decay actually integrated.
     """
     n_mode = thermal_occupation(mode_frequency, temperature)
-    n_zpl = (
-        0.0
-        if optical_frequency is None
-        else thermal_occupation(optical_frequency, temperature)
-    )
-    kappa = _thermal_rate(kappa, n_zpl)
+    kappa = _thermal_rate(kappa, thermal_occupation(optical_frequency, temperature))
     mode_spacing, mode_count = default_discretization(g_c, kappa)
     return TransferSystem(
         g_om=g_c,

@@ -206,7 +206,7 @@ def bias_for_deflection(geom: MembraneGeometry, gap: float, deflection: float) -
     The inverse of the force balance that :func:`solve_equilibrium` solves;
     the balance is stable only below :func:`pull_in_deflection`.
     """
-    if deflection >= gap:
+    if not deflection < gap:
         raise ValueError("deflection reaches the electrode (contact)")
     return (gap - deflection) * math.sqrt(
         2.0 * elastic_force(geom, deflection) / _stiffness(geom)[2]
@@ -350,6 +350,8 @@ def pull_in_deflection(geom: MembraneGeometry, gap: float) -> float:
     A deflection held in balance by its bias is stable exactly where it lies
     below this one.
     """
+    if not gap > 0:
+        raise ValueError("gap must be positive")
     k1, k3, _ = _stiffness(geom)
     return _fold(k3 * gap ** 2 / k1)[0] * gap
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,43 @@ class TestEffectiveCoupling:
         one = effective_optomechanical_coupling(1e9, 1e8, 1e10)
         two = effective_optomechanical_coupling(2e9, 1e8, 1e10)
         assert two == pytest.approx(2 * one, rel=1e-12)
+
+    @pytest.mark.parametrize("rabi_rate", [1e10, 2e10, -1.0, math.nan])
+    def test_drive_outside_its_domain_is_refused(self, rabi_rate):
+        # at omega_m = 1e10 rad/s: no red detuning sqrt(omega_m^2 - Omega^2) > 0
+        # exists at or above omega_m, and a drive rate is not negative
+        with pytest.raises(ValueError, match=r"rabi_rate must lie in \[0, omega_m\)"):
+            effective_optomechanical_coupling(rabi_rate, 1e8, 1e10)
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.3, 0.6, 0.9])
+    def test_matches_the_dressed_anticrossing(self, ratio):
+        # H = w_m b+b + (D/2) sz + (W/2) sx + g (1 + sz)(b + b+)/2 on 8 Fock
+        # states: as D crosses sqrt(w_m^2 - W^2), the dressed levels |+, 0>
+        # and |-, 1> (the second and third) anticross by 2 g_eff
+        omega_m, g, fock = 1.0, 0.005, 8
+        b = np.diag(np.sqrt(np.arange(1.0, fock)), 1)
+        phonon = np.kron(np.eye(2), omega_m * b.T @ b)
+        drive = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(fock)) * ratio * omega_m / 2
+        coupling = np.kron([[1.0, 0.0], [0.0, 0.0]], b + b.T) * g
+        sigma_z = np.kron([[1.0, 0.0], [0.0, -1.0]], np.eye(fock))
+
+        def splitting(delta):
+            levels = np.linalg.eigvalsh(phonon + drive + coupling + sigma_z * delta / 2)
+            return levels[2] - levels[1]
+
+        # golden-section search for the narrowest splitting around the detuning
+        centre = math.sqrt(omega_m ** 2 - (ratio * omega_m) ** 2)
+        lo, hi = centre - 0.05 * omega_m, centre + 0.05 * omega_m
+        shrink = (math.sqrt(5.0) - 1.0) / 2.0
+        while hi - lo > 1e-12 * omega_m:
+            a, c = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+            if splitting(a) < splitting(c):
+                hi = c
+            else:
+                lo = a
+        g_eff = splitting((lo + hi) / 2) / 2
+        expected = effective_optomechanical_coupling(ratio * omega_m, g, omega_m)
+        assert g_eff == pytest.approx(expected, rel=1e-3)
 
 
 class TestThermalOccupation:

@@ -166,6 +166,16 @@ class TestSystemConstruction:
         with pytest.raises(ConfigError, match="bandwidth"):
             on_comb(hot, 1e6, 500)
 
+    def test_optical_bath_defaults_to_no_line(self):
+        # optical_frequency defaults to inf, no line: its occupation is
+        # exactly 0 at any finite temperature, so kappa stays bare where the
+        # 600 nm line of the test above enhances it
+        bare = make_transfer_system(g_c=G50, kappa=KAPPA50, temperature=1e4)
+        assert bare.kappa == KAPPA50
+        # an infinite temperature has no occupation, and its NaN decay is refused
+        with pytest.raises(ConfigError):
+            make_transfer_system(g_c=G50, kappa=KAPPA50, temperature=math.inf)
+
     def test_kappa_prime(self):
         system = benchmark_system()
         assert system.kappa_prime == pytest.approx(

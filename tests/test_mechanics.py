@@ -372,6 +372,11 @@ class TestPullInDeflection:
         u_star, _ = reference_fold(k3 * gap ** 2 / k1)
         assert pull_in_deflection(geom, gap) == pytest.approx(u_star * gap, rel=1e-12)
 
+    @pytest.mark.parametrize("gap", [0.0, -1e-8])
+    def test_non_positive_gap_is_refused(self, geometry, gap):
+        with pytest.raises(ValueError, match="gap must be positive"):
+            pull_in_deflection(geometry, gap)
+
     @given(
         st.floats(min_value=0.3e-9, max_value=100e-9),
         st.floats(min_value=1e-9, max_value=1000e-9),

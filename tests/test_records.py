@@ -13,21 +13,28 @@ import numpy as np
 import pytest
 
 from transducer_sim import (
+    CircuitParams,
     ConfigError,
     ElectrostaticEnvironment,
     EmitterParams,
     MembraneGeometry,
+    OperatingPoint,
     SimulationSettings,
     SweepSettings,
     TransferSystem,
     elastic_force,
+    electromechanical_coupling,
     integrate,
     membrane_capacitance,
     operating_point_at_deflection,
+    pull_in_deflection,
+    stark_coupling,
     thermal_occupation,
+    tune_capacitor,
 )
-from transducer_sim.circuit import capacitance_gradient
+from transducer_sim.constants import wavelength_to_angular_frequency
 from transducer_sim.dynamics import step_plan
+from transducer_sim.mechanics import bias_for_deflection
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,6 +117,9 @@ def test_check_runs_on_construction_and_replace(name):
 
 
 SHEET = MembraneGeometry(**CASES["MembraneGeometry"][1])
+BIASED = ElectrostaticEnvironment(gap=10e-9, bias_voltage=3.3)
+#: an operating point whose deflection is NaN; the other fields are valid
+NAN_DEFLECTION = OperatingPoint(math.nan, 0.0, TWO_PI * 5e9, 1e-12)
 
 #: a range check written ``x < 0`` takes NaN, since every comparison with
 #: NaN is false; each of these refuses NaN with its own error and message
@@ -159,10 +169,42 @@ NAN_REFUSALS = {
         ValueError,
         "deflection must be nonnegative",
     ),
-    "capacitance_gradient": (
-        lambda: capacitance_gradient(SHEET, 1e-8, math.nan),
+    "membrane_capacitance.gap": (
+        lambda: membrane_capacitance(SHEET, math.nan, 1e-9),
+        ValueError,
+        "deflection reaches the electrode (contact)",
+    ),
+    "electromechanical_coupling": (
+        lambda: electromechanical_coupling(
+            NAN_DEFLECTION, CircuitParams(1e-15, 1e-18), SHEET, BIASED
+        ),
         ValueError,
         "deflection must be nonnegative",
+    ),
+    "tune_capacitor": (
+        lambda: tune_capacitor(1e-6, TWO_PI * 5e9, math.nan),
+        ValueError,
+        "membrane capacitance must be nonnegative",
+    ),
+    "bias_for_deflection": (
+        lambda: bias_for_deflection(SHEET, math.nan, 1e-9),
+        ValueError,
+        "deflection reaches the electrode (contact)",
+    ),
+    "pull_in_deflection": (
+        lambda: pull_in_deflection(SHEET, math.nan),
+        ValueError,
+        "gap must be positive",
+    ),
+    "stark_coupling": (
+        lambda: stark_coupling(NAN_DEFLECTION, BIASED, EmitterParams()),
+        ValueError,
+        "deflection reaches the electrode (contact)",
+    ),
+    "wavelength_to_angular_frequency": (
+        lambda: wavelength_to_angular_frequency(math.nan),
+        ValueError,
+        "wavelength must be positive",
     ),
 }
 
