@@ -40,6 +40,8 @@ def membrane_capacitance(geom: MembraneGeometry, gap: float, deflection: float) 
         raise ValueError("deflection must be nonnegative")
     if not deflection < gap:
         raise ValueError("deflection reaches the electrode (contact)")
+    if gap == math.inf:
+        raise ValueError("gap must be finite")
     return EPSILON_0 * geom.length * geom.width / (gap - deflection)
 
 

@@ -121,6 +121,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError("omega must be positive")
     if not temperature >= 0:
         raise ValueError("temperature must be nonnegative")
+    if temperature == math.inf:
+        raise ValueError("temperature must be finite")
     if temperature == 0.0:
         return 0.0
     k_t = K_B * temperature

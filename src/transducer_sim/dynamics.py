@@ -132,12 +132,6 @@ class TransferSystem(NamedTuple):
     mode_count: int
 
     def _check(self):
-        rates = (self.g_om, self.g_em, self.kappa, self.gamma_m, self.gamma_lc)
-        if not all(map(math.isfinite, rates)):
-            raise ConfigError(
-                "coupling and decay rates must be finite, also after the "
-                "(n_bar + 1) thermal factor"
-            )
         if self.g_om < 0 or self.g_em < 0:
             raise ConfigError("coupling rates must be nonnegative")
         if self.kappa < 0 or self.gamma_m < 0 or self.gamma_lc < 0:

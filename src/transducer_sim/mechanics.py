@@ -208,6 +208,8 @@ def bias_for_deflection(geom: MembraneGeometry, gap: float, deflection: float) -
     """
     if not deflection < gap:
         raise ValueError("deflection reaches the electrode (contact)")
+    if gap == math.inf:
+        raise ValueError("gap must be finite")
     return (gap - deflection) * math.sqrt(
         2.0 * elastic_force(geom, deflection) / _stiffness(geom)[2]
     )
@@ -350,8 +352,8 @@ def pull_in_deflection(geom: MembraneGeometry, gap: float) -> float:
     A deflection held in balance by its bias is stable exactly where it lies
     below this one.
     """
-    if not gap > 0:
-        raise ValueError("gap must be positive")
+    if not 0 < gap < math.inf:
+        raise ValueError("gap must be positive and finite")
     k1, k3, _ = _stiffness(geom)
     return _fold(k3 * gap ** 2 / k1)[0] * gap
 

@@ -4,29 +4,29 @@ The package's records are ``typing.NamedTuple`` classes decorated with
 :func:`checked`, so that their checks run on every construction path: the
 constructor, ``_make``, and ``_replace``, which builds through ``_make``
 (``tuple.__new__``) and would otherwise skip a custom ``__new__``.  A field
-of the wrong type for its annotation is refused first, by the record's own
-error naming the field; then the record's range checks, its ``_check``.
+of the wrong type for its annotation, or a float that is not finite, is
+refused first, by the record's own error naming it; then its ``_check``.
 """
 
 import functools
 import math
 import operator
 
-#: field annotation -> (test raising ``TypeError`` on a wrong type, what the
-#: field must be); an ``int`` takes ``numpy.int64`` but not ``500.0``
+#: field annotation -> (test raising ``TypeError`` on a wrong type and giving
+#: False on a float that is not finite, what the field must be)
 _TYPE_TESTS = {
     "float": (math.isfinite, "a number"),
     "float | None": (lambda value: value is None or math.isfinite(value), "a number or None"),
-    "int": (operator.index, "an integer"),
-    "str": (str.isascii, "a string"),
+    "int": (operator.index, "an integer"),  # takes numpy.int64, not 500.0
+    "str": (str.__str__, "a string"),
 }
 
 
 def checked(record=None, *, error=ValueError):
     """Make ``record``'s ``__new__`` and ``_make`` check it; returns ``record``.
 
-    A field whose value its annotation's test refuses raises ``error``
-    naming it; then the record's ``_check`` runs.
+    A field its annotation's test refuses (a ``float`` must be a finite
+    number) raises ``error`` naming it; then the record's ``_check`` runs.
     ``@checked(error=E)`` gives the decorator for another error type.
     """
     if record is None:
@@ -47,9 +47,11 @@ def checked(record=None, *, error=ValueError):
         if not passed:
             for (name, test, kind), value in zip(tests, self):
                 try:
-                    test(value)
+                    finite = test(value)
                 except TypeError:
                     raise error(f"{name} must be {kind}, not {value!r}") from None
+                if finite is False:
+                    raise error(f"{name} must be finite, not {value!r}")
         self._check()
         return self
 

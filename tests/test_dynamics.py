@@ -172,9 +172,11 @@ class TestSystemConstruction:
         # 600 nm line of the test above enhances it
         bare = make_transfer_system(g_c=G50, kappa=KAPPA50, temperature=1e4)
         assert bare.kappa == KAPPA50
-        # an infinite temperature has no occupation, and its NaN decay is refused
-        with pytest.raises(ConfigError):
+        # an infinite temperature has no occupation, and is refused as such
+        with pytest.raises(ValueError) as refusal:
             make_transfer_system(g_c=G50, kappa=KAPPA50, temperature=math.inf)
+        assert type(refusal.value) is ValueError
+        assert str(refusal.value) == "temperature must be finite"
 
     def test_kappa_prime(self):
         system = benchmark_system()
@@ -225,10 +227,14 @@ class TestSystemConstruction:
             make_transfer_system(**rates)
 
     def test_non_finite_bandwidth_rejected(self):
-        # 500 modes at 1e307 Hz are finite one by one but overflow as a comb
-        for spacing_hz in (1e307, math.inf):
-            with pytest.raises(ConfigError, match="bandwidth"):
+        # 500 modes at 1e307 Hz are finite one by one but overflow as a comb;
+        # an infinite spacing is refused as a field that is not finite
+        for spacing_hz, message in (
+            (1e307, "bandwidth"), (math.inf, "mode_spacing must be finite")
+        ):
+            with pytest.raises(ConfigError, match=message) as refusal:
                 on_comb(benchmark_system(), spacing_hz, 500)
+            assert type(refusal.value) is ConfigError
 
     @pytest.mark.parametrize(
         "g_max, kappa",

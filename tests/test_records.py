@@ -122,27 +122,29 @@ BIASED = ElectrostaticEnvironment(gap=10e-9, bias_voltage=3.3)
 NAN_DEFLECTION = OperatingPoint(math.nan, 0.0, TWO_PI * 5e9, 1e-12)
 
 #: a range check written ``x < 0`` takes NaN, since every comparison with
-#: NaN is false; each of these refuses NaN with its own error and message
+#: NaN is false, and one written ``x > 0`` takes inf; each of these refuses
+#: NaN (or inf) with its own error and message (a record, as not finite,
+#: before its range checks)
 NAN_REFUSALS = {
     "SimulationSettings.duration": (
         lambda: SimulationSettings(g_c=1.0, duration=math.nan),
         ValueError,
-        "duration_s must be nonnegative",
+        "duration must be finite, not nan",
     ),
     "SimulationSettings.temperature": (
         lambda: SimulationSettings(temperature=math.nan),
         ValueError,
-        "temperature_k must be nonnegative",
+        "temperature must be finite, not nan",
     ),
     "ElectrostaticEnvironment.bias_voltage": (
         lambda: ElectrostaticEnvironment(1e-8, math.nan),
         ValueError,
-        "bias_voltage must be nonnegative",
+        "bias_voltage must be finite, not nan",
     ),
     "MembraneGeometry.pre_tension": (
         lambda: MembraneGeometry(110e-9, 1e-6, 1.1e-9, 1e12, pre_tension=math.nan),
         ValueError,
-        "pre_tension must be nonnegative",
+        "pre_tension must be finite, not nan",
     ),
     "step_plan": (
         lambda: step_plan(TransferSystem(**CASES["TransferSystem"][1]), math.nan),
@@ -194,7 +196,7 @@ NAN_REFUSALS = {
     "pull_in_deflection": (
         lambda: pull_in_deflection(SHEET, math.nan),
         ValueError,
-        "gap must be positive",
+        "gap must be positive and finite",
     ),
     "stark_coupling": (
         lambda: stark_coupling(NAN_DEFLECTION, BIASED, EmitterParams()),
@@ -206,6 +208,26 @@ NAN_REFUSALS = {
         ValueError,
         "wavelength must be positive",
     ),
+    "thermal_occupation.inf": (
+        lambda: thermal_occupation(TWO_PI * 5e9, math.inf),
+        ValueError,
+        "temperature must be finite",
+    ),
+    "membrane_capacitance.inf_gap": (
+        lambda: membrane_capacitance(SHEET, math.inf, 1e-9),
+        ValueError,
+        "gap must be finite",
+    ),
+    "bias_for_deflection.inf_gap": (
+        lambda: bias_for_deflection(SHEET, math.inf, 1e-9),
+        ValueError,
+        "gap must be finite",
+    ),
+    "pull_in_deflection.inf_gap": (
+        lambda: pull_in_deflection(SHEET, math.inf),
+        ValueError,
+        "gap must be positive and finite",
+    ),
 }
 
 
@@ -216,6 +238,41 @@ def test_nan_is_refused_by_the_nonnegativity_checks(name):
         build()
     assert type(refusal.value) is error
     assert str(refusal.value) == message
+
+
+#: the six checked records, by their names in CASES
+RECORDS = ["MembraneGeometry", "ElectrostaticEnvironment", "EmitterParams",
+           "SimulationSettings", "SweepSettings", "TransferSystem"]
+
+
+def float_fields(record):
+    """The fields annotated ``float`` or ``float | None``, read as ``checked`` reads them."""
+    kinds = [getattr(kind, "__forward_arg__", kind) for kind in record.__annotations__.values()]
+    return [name for name, kind in zip(record._fields, kinds) if kind in ("float", "float | None")]
+
+
+FLOAT_FIELDS = [(name, field) for name in RECORDS for field in float_fields(CASES[name][0])]
+
+
+def test_every_float_field_is_found():
+    # 8 geometry, 2 environment, 4 emitter, 7 settings, 2 sweep, 6 system
+    assert len(FLOAT_FIELDS) == 29
+    assert ("TransferSystem", "kappa") in FLOAT_FIELDS
+    assert ("SimulationSettings", "g_c") in FLOAT_FIELDS
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name, field", FLOAT_FIELDS)
+def test_float_field_must_be_finite(name, field, bad):
+    record, fields, _, error, _ = CASES[name]
+    valid = record(**fields)
+    with pytest.raises(error) as built:
+        record(**{**fields, field: bad})
+    with pytest.raises(error) as copied:
+        valid._replace(**{field: bad})
+    for refusal in (built, copied):
+        assert type(refusal.value) is error
+        assert str(refusal.value) == f"{field} must be finite, not {bad!r}"
 
 
 #: a field of a record, a value of the wrong type for it, and the record's
@@ -260,8 +317,15 @@ def test_numpy_integer_counts_are_accepted():
     assert SweepSettings("bias_voltage", 0.0, 1.0, np.int64(3)).values() == [0.0, 0.5, 1.0]
 
 
-@pytest.mark.parametrize("start, stop", [(math.nan, 1.0), (0.0, math.inf), (0.0, math.nan)])
-def test_sweep_range_must_be_finite(start, stop):
+@pytest.mark.parametrize(
+    "start, stop, message",
+    [(math.nan, 1.0, "start must be finite, not nan"),
+     (0.0, math.inf, "stop must be finite, not inf"),
+     (0.0, math.nan, "stop must be finite, not nan")],
+)
+def test_sweep_range_must_be_finite(start, stop, message):
     # the parser refuses such a value first; a sweep built in Python is checked too
-    with pytest.raises(ValueError, match="start and stop must be finite"):
+    with pytest.raises(ValueError) as refusal:
         SweepSettings("bias_voltage", start, stop, 3)
+    assert type(refusal.value) is ValueError
+    assert str(refusal.value) == message
