@@ -1,16 +1,19 @@
-"""Command-line interface.
+"""Membrane electro-opto-mechanical transducer simulator: operating
+points, coupling rates and single-photon transfer fidelities from a
+config document.
 
-    transducer-sim mechanics --config FILE [--out FILE]
-    transducer-sim couplings --config FILE [--out FILE]
-    transducer-sim transfer  --config FILE [--out FILE]
-    transducer-sim scan      --config FILE [--out FILE]
+commands:
+  mechanics  sweep thickness or bias voltage, tabulate the operating point
+  couplings  sweep bias voltage or displacement, tabulate coupling rates
+  transfer   integrate one state-transfer trajectory
+  scan       sweep temperature or optical decay, tabulate fidelities
 
-The CSV goes to the ``--out`` file, or to stdout without one.
+The CSV goes to the --out file, or to stdout without one.
 
-Exit codes: 0 success, 2 configuration errors (including a config file
-that cannot be read or decoded, an output path that cannot be written,
-and a trajectory that would take more than ``dynamics.MAX_STEPS``
-steps).  Pull-in and tuning failures are flagged per row of a sweep.
+exit codes: 0 success, 2 argument and configuration errors (including a
+config file that cannot be read or decoded, an output path that cannot
+be written, and a trajectory that would take more than 10^8 steps).
+Pull-in and tuning failures are flagged per row of a sweep.
 """
 
 from __future__ import annotations
@@ -44,29 +47,19 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="transducer-sim",
-        description=(
-            "Membrane electro-opto-mechanical transducer simulator: "
-            "operating points, coupling rates and single-photon transfer "
-            "fidelities from a config document."
-        ),
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("mechanics", "sweep thickness or bias voltage, tabulate the operating point"),
-        ("couplings", "sweep bias voltage or displacement, tabulate coupling rates"),
-        ("transfer", "integrate one state-transfer trajectory"),
-        ("scan", "sweep temperature or optical decay, tabulate fidelities"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="config document path")
-        cmd.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND")
+    parser.add_argument("--config", required=True, metavar="FILE")
+    parser.add_argument("--out", metavar="FILE")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from transducer_sim import (
     run_mechanics_sweep,
     run_transfer,
 )
-from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, _build_parser, main
+from transducer_sim.cli import _COMMANDS, EXIT_CONFIG, EXIT_OK, _build_parser, main
 from transducer_sim.config import _SCHEMA, MAX_SWEEP_POINTS
 from transducer_sim.mechanics import _fold
 
@@ -880,6 +880,55 @@ class TestCli:
         assert "# run=mechanics" in mech_out.read_text()
         assert "# run=couplings" in coup_out.read_text()
         assert _build_parser() is parser
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ("--config", "cmd", "--out"),
+            ("--config", "--out", "cmd"),
+            ("--out", "cmd", "--config"),
+        ],
+    )
+    def test_options_before_or_after_command(self, tmp_path, order):
+        cfg = CONFIG_DIR / "mechanics_voltage_sweep.ini"
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        assert main(["mechanics", "--config", str(cfg), "--out", str(ref)]) == EXIT_OK
+        words = {"cmd": ["mechanics"], "--config": ["--config", str(cfg)], "--out": ["--out", str(out)]}
+        assert main([word for key in order for word in words[key]]) == EXIT_OK
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_help_names_commands_options_and_exit_codes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        text = capsys.readouterr().out
+        for word in [*_COMMANDS, "--config", "--out", "exit codes: 0 success, 2"]:
+            assert word in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bogus", "--config", str(CONFIG_DIR / "paper_defaults.ini")],
+            ["mechanics"],
+            ["mechanics", "--out", "out.csv"],
+            [],
+        ],
+    )
+    def test_argument_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_not_part_of_the_document(self, tmp_path):
+        # the header hash is of the decoded text, so both write the same bytes
+        src = CONFIG_DIR / "mechanics_voltage_sweep.ini"
+        cfg = tmp_path / "bom.ini"
+        cfg.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        assert main(["mechanics", "--config", str(src), "--out", str(ref)]) == EXIT_OK
+        assert main(["mechanics", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_stdout_when_no_out_path(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
