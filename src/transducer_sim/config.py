@@ -7,9 +7,10 @@ to the conversion from the document's unit (frequencies in Hz become
 angular rates).  Defaults and ranges live in the records
 (``MembraneGeometry``, ``ElectrostaticEnvironment``, ``EmitterParams``,
 ``SimulationSettings``, ``SweepSettings``): a key left out takes its
-field's default, and a value that the record's ``_check`` or the
-conversion refuses is a ``ConfigError`` naming the section, raised here
-rather than inside a run.
+field's default, and a value that the conversion, the sign its field is
+annotated with (``Positive``, ``NonNegative``) or the record's ``_check``
+refuses is a ``ConfigError`` naming the section, raised here rather than
+inside a run: ``[simulation] kappa must be nonnegative``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .constants import (
 from .coupling import EmitterParams
 from .errors import ConfigError
 from .mechanics import ElectrostaticEnvironment, MembraneGeometry
-from .records import checked
+from .records import NonNegative, Positive, checked
 
 #: sweep variable -> the SI unit of its values
 SWEEP_UNITS = dict(
@@ -111,21 +112,13 @@ _REQUIRED = {
 class SimulationSettings(NamedTuple):
     """Transfer-run parameters; rates are angular (rad/s)."""
 
-    g_c: float | None = None
-    kappa: float = TWO_PI * 50e6
-    gamma_m: float = TWO_PI * 100e3
-    gamma_lc: float = TWO_PI * 100e3
-    temperature: float = 0.05           # K
-    mode_frequency: float = TWO_PI * 5e9
-    duration: float | None = None       # s
-
-    def _check(self):
-        if self.duration is not None and not self.duration >= 0:
-            raise ValueError("duration_s must be nonnegative")
-        if not self.temperature >= 0:
-            raise ValueError("temperature_k must be nonnegative")
-        if not self.mode_frequency > 0:
-            raise ValueError("mode_frequency_hz must be positive")
+    g_c: NonNegative | None = None
+    kappa: NonNegative = TWO_PI * 50e6
+    gamma_m: NonNegative = TWO_PI * 100e3
+    gamma_lc: NonNegative = TWO_PI * 100e3
+    temperature: NonNegative = 0.05           # K
+    mode_frequency: Positive = TWO_PI * 5e9
+    duration: NonNegative | None = None       # s
 
 
 @checked

@@ -30,7 +30,7 @@ from .constants import (
     wavelength_to_angular_frequency,
 )
 from .mechanics import ElectrostaticEnvironment, MembraneGeometry, OperatingPoint
-from .records import checked
+from .records import Positive, checked
 
 #: measured ZPL strain response of emitters in h-BN spans -3..+6 meV/%;
 #: only the magnitude enters the coupling rates
@@ -47,20 +47,14 @@ DEFAULT_OPTICAL_DECAY_HZ = 53e6   # 3 ns excited-state lifetime
 class EmitterParams(NamedTuple):
     """Optical transition and response coefficients of the emitter."""
 
-    zpl_frequency: float = wavelength_to_angular_frequency(DEFAULT_ZPL_WAVELENGTH)
-    optical_decay: float = 2.0 * math.pi * DEFAULT_OPTICAL_DECAY_HZ   # rad/s
+    zpl_frequency: Positive = wavelength_to_angular_frequency(DEFAULT_ZPL_WAVELENGTH)
+    optical_decay: Positive = 2.0 * math.pi * DEFAULT_OPTICAL_DECAY_HZ   # rad/s
     strain_shift_coefficient: float = strain_shift_to_si(
         DEFAULT_STRAIN_SHIFT_MEV_PER_PERCENT
     )                                                   # rad/s per unit strain
     stark_shift_coefficient: float = stark_shift_to_si(
         DEFAULT_STARK_SHIFT_MEV_PER_V_PER_M
     )                                                   # rad/s per (V/m)
-
-    def _check(self):
-        if not self.zpl_frequency > 0:
-            raise ValueError("zpl_frequency must be positive")
-        if not self.optical_decay > 0:
-            raise ValueError("optical_decay must be positive")
 
 
 def strain_coupling(

@@ -72,7 +72,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .constants import TWO_PI
 from .coupling import thermal_occupation
 from .errors import ConfigError
-from .records import checked
+from .records import NonNegative, Positive, checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,21 +123,15 @@ class TransferSystem(NamedTuple):
     circuit; the matched case g_om = g_em = g_c is the one benchmarked.
     """
 
-    g_om: float          # rad/s
-    g_em: float          # rad/s
-    kappa: float         # rad/s, optical decay feeding the photon modes
-    gamma_m: float       # rad/s, mechanical loss
-    gamma_lc: float      # rad/s, circuit loss
-    mode_spacing: float  # rad/s, detuning step of the photon comb
+    g_om: NonNegative        # rad/s
+    g_em: NonNegative        # rad/s
+    kappa: NonNegative       # rad/s, optical decay feeding the photon modes
+    gamma_m: NonNegative     # rad/s, mechanical loss
+    gamma_lc: NonNegative    # rad/s, circuit loss
+    mode_spacing: Positive   # rad/s, detuning step of the photon comb
     mode_count: int
 
     def _check(self):
-        if self.g_om < 0 or self.g_em < 0:
-            raise ConfigError("coupling rates must be nonnegative")
-        if self.kappa < 0 or self.gamma_m < 0 or self.gamma_lc < 0:
-            raise ConfigError("decay rates must be nonnegative")
-        if not self.mode_spacing > 0:
-            raise ConfigError("mode_spacing must be positive")
         # the stepping core pairs mode i with mode N - 1 - i (_advance)
         if self.mode_count < 2 or self.mode_count % 2:
             raise ConfigError("mode_count must be even and at least 2")

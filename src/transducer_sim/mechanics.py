@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .constants import EPSILON_0, HBAR, TWO_PI
 from .errors import PullInError
-from .records import checked
+from .records import NonNegative, Positive, checked
 
 #: volumetric mass density assumed for the stack when none is given
 #: (kg/m^3, graphite-like)
@@ -69,23 +69,16 @@ _NEWTON_TOLERANCE = 2.0 ** -40
 class MembraneGeometry(NamedTuple):
     """Dimensions and material constants of the suspended membrane."""
 
-    length: float                # m, span between the clamps
-    width: float                 # m
-    thickness: float             # m
-    youngs_modulus: float        # Pa
-    density: float = DEFAULT_DENSITY      # kg/m^3
-    pre_tension: float = DEFAULT_PRE_TENSION      # N, built-in tension
-    clamping_coefficient: float = DEFAULT_CLAMPING_COEFFICIENT
+    length: Positive             # m, span between the clamps
+    width: Positive              # m
+    thickness: Positive          # m
+    youngs_modulus: Positive     # Pa
+    density: Positive = DEFAULT_DENSITY      # kg/m^3
+    pre_tension: NonNegative = DEFAULT_PRE_TENSION      # N, built-in tension
+    clamping_coefficient: Positive = DEFAULT_CLAMPING_COEFFICIENT
     mode_mass_fraction: float = DEFAULT_MODE_MASS_FRACTION
 
     def _check(self):
-        for name in ("length", "width", "thickness", "youngs_modulus", "density"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.pre_tension >= 0:
-            raise ValueError("pre_tension must be nonnegative")
-        if not self.clamping_coefficient > 0:
-            raise ValueError("clamping_coefficient must be positive")
         if not 0 < self.mode_mass_fraction <= 1:
             raise ValueError("mode_mass_fraction must lie in (0, 1]")
 
@@ -104,14 +97,8 @@ class MembraneGeometry(NamedTuple):
 class ElectrostaticEnvironment(NamedTuple):
     """Bottom-electrode gap and the DC bias applied across it."""
 
-    gap: float            # m, undeflected membrane-to-electrode distance
-    bias_voltage: float   # V
-
-    def _check(self):
-        if not self.gap > 0:
-            raise ValueError("gap must be positive")
-        if not self.bias_voltage >= 0:
-            raise ValueError("bias_voltage must be nonnegative")
+    gap: Positive               # m, undeflected membrane-to-electrode distance
+    bias_voltage: NonNegative   # V
 
 
 class OperatingPoint(NamedTuple):

@@ -153,6 +153,22 @@ def test_unread_key_moves_nothing(tmp_path, case):
         ), command
 
 
+@pytest.mark.parametrize("key", ["g_c_hz", "kappa_hz", "gamma_m_hz", "gamma_lc_hz"])
+def test_negative_simulation_rate_is_refused_at_parse(tmp_path, key):
+    # refused where it is written, so a statics run that reads no rate refuses it too
+    field = _SCHEMA["simulation"][key][0]
+    text = with_key(MECHANICS_BIAS, "simulation", key, "-50e6")
+    with pytest.raises(ConfigError) as refusal:
+        parse_config(text)
+    assert str(refusal.value) == f"[simulation] {field} must be nonnegative"
+    cfg = tmp_path / "negative.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["mechanics", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    zero = parse_config(with_key(MECHANICS_BIAS, "simulation", key, "0"))
+    assert getattr(zero.simulation, field) == 0.0
+
+
 def readme_schema():
     """section -> key -> the note in parentheses after it, from README's table."""
     text = README.read_text().split("## Config schema", 1)[1].split("\n## ", 1)[0]

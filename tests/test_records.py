@@ -8,6 +8,7 @@ another photon comb with it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from transducer_sim import (
 from transducer_sim.constants import wavelength_to_angular_frequency
 from transducer_sim.dynamics import step_plan
 from transducer_sim.mechanics import bias_for_deflection
+from transducer_sim.records import _TYPE_TESTS
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,7 +69,7 @@ CASES = {
         dict(g_c=TWO_PI * 50e6, duration=150e-9),
         ("temperature", -0.05),
         ValueError,
-        "temperature_k must be nonnegative",
+        "temperature must be nonnegative",
     ),
     "SweepSettings": (
         SweepSettings,
@@ -245,13 +247,27 @@ RECORDS = ["MembraneGeometry", "ElectrostaticEnvironment", "EmitterParams",
            "SimulationSettings", "SweepSettings", "TransferSystem"]
 
 
-def float_fields(record):
-    """The fields annotated ``float`` or ``float | None``, read as ``checked`` reads them."""
+def field_tests(record):
+    """field -> the entry of ``checked``'s table for its annotation, read as ``checked`` reads it."""
     kinds = [getattr(kind, "__forward_arg__", kind) for kind in record.__annotations__.values()]
-    return [name for name, kind in zip(record._fields, kinds) if kind in ("float", "float | None")]
+    return {name: _TYPE_TESTS[kind] for name, kind in zip(record._fields, kinds)}
+
+
+def float_fields(record):
+    """The fields that must be a number, or a number or None: ``float``, ``Positive`` and
+    ``NonNegative``, with or without ``| None``."""
+    return [name for name, (_, kind, _) in field_tests(record).items() if kind.startswith("a number")]
 
 
 FLOAT_FIELDS = [(name, field) for name in RECORDS for field in float_fields(CASES[name][0])]
+
+#: (record name, field, "positive" or "nonnegative") of each signed field
+SIGNED_FIELDS = [
+    (name, field, sign)
+    for name in RECORDS
+    for field, (_, _, sign) in field_tests(CASES[name][0]).items()
+    if sign
+]
 
 
 def test_every_float_field_is_found():
@@ -259,6 +275,66 @@ def test_every_float_field_is_found():
     assert len(FLOAT_FIELDS) == 29
     assert ("TransferSystem", "kappa") in FLOAT_FIELDS
     assert ("SimulationSettings", "g_c") in FLOAT_FIELDS
+
+
+def test_every_signed_field_is_found():
+    signs = [sign for _, _, sign in SIGNED_FIELDS]
+    # Positive: 6 geometry, 1 environment, 2 emitter, 1 settings, 1 system field;
+    # NonNegative: 1 geometry, 1 environment, 6 settings, 5 system fields
+    assert (signs.count("positive"), signs.count("nonnegative")) == (11, 13)
+    assert ("ElectrostaticEnvironment", "gap", "positive") in SIGNED_FIELDS
+    assert ("SimulationSettings", "g_c", "nonnegative") in SIGNED_FIELDS
+    assert ("TransferSystem", "mode_spacing", "positive") in SIGNED_FIELDS
+
+
+#: per sign, the values a field of it refuses and those it accepts
+SIGN_VALUES = {
+    "positive": ([0.0, -0.0, -1.0], []),
+    "nonnegative": ([-1e-300, -1.0], [0.0, -0.0]),
+}
+
+
+@pytest.mark.parametrize("name, field, sign", SIGNED_FIELDS)
+def test_signed_field_refuses_the_wrong_sign(name, field, sign):
+    record, fields, _, error, _ = CASES[name]
+    valid = record(**fields)
+    refused, accepted = SIGN_VALUES[sign]
+    for bad in refused:
+        with pytest.raises(error) as built:
+            record(**{**fields, field: bad})
+        with pytest.raises(error) as copied:
+            valid._replace(**{field: bad})
+        for refusal in (built, copied):
+            assert type(refusal.value) is error
+            assert str(refusal.value) == f"{field} must be {sign}"
+    for good in accepted:
+        assert getattr(record(**{**fields, field: good}), field) == good
+        assert getattr(valid._replace(**{field: good}), field) == good
+
+
+@pytest.mark.parametrize("name", ["MembraneGeometry", "ElectrostaticEnvironment", "EmitterParams"])
+def test_least_positive_float_is_positive(name):
+    # a record of numbers passes its signs in one comparison with the least
+    # float of each field's sign, the least positive float for a Positive one
+    record, fields = CASES[name][:2]
+    for field, (_, _, sign) in field_tests(record).items():
+        if sign == "positive":
+            assert getattr(record(**{**fields, field: math.ulp(0.0)}), field) == math.ulp(0.0)
+
+
+@pytest.mark.parametrize("name, field, sign", SIGNED_FIELDS)
+def test_signed_field_takes_numpy_scalars(name, field, sign):
+    # a sign test must compare a numpy scalar, not give NotImplemented for it
+    record, fields = CASES[name][:2]
+    value = getattr(record(**fields), field)
+    # rounded up if positive and down if nonnegative, which keeps the comb
+    # above its bandwidth floor of 5 kappa
+    whole = math.ceil(value) if sign == "positive" else math.floor(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scalar in (np.float64(value), np.int64(whole)):
+            assert getattr(record(**{**fields, field: scalar}), field) == scalar
+            assert getattr(record(**fields)._replace(**{field: scalar}), field) == scalar
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
