@@ -19,15 +19,14 @@ from .constants import EPSILON_0, HBAR
 from .errors import TuningError
 from .mechanics import ElectrostaticEnvironment, MembraneGeometry, OperatingPoint
 
-DEFAULT_INDUCTANCE = 1e-6        # H
-
 
 class CircuitParams(NamedTuple):
     """What matching decides of the resonator at one operating point.
 
-    The gap and the bias stay in the :class:`ElectrostaticEnvironment`.  The
-    resonator's loss is not a circuit element here: the transfer runs take
-    it as the rate ``[simulation] gamma_lc_hz``.
+    The gap, the bias and the inductance stay in the
+    :class:`ElectrostaticEnvironment`.  The resonator's loss is not a circuit
+    element here: the transfer runs take it as the rate
+    ``[simulation] gamma_lc_hz``.
     """
 
     tuning_capacitance: float    # F, fixed capacitor in parallel with the membrane
@@ -76,18 +75,16 @@ def charge_zero_point(inductance: float, omega: float) -> float:
 
 
 def matched_circuit(
-    geom: MembraneGeometry,
-    op_point: OperatingPoint,
-    gap: float,
-    inductance: float = DEFAULT_INDUCTANCE,
+    geom: MembraneGeometry, op_point: OperatingPoint, env: ElectrostaticEnvironment
 ) -> CircuitParams:
     """Build the resonator with C0 tuned so the LC mode matches the membrane.
 
     The resonance 1 / sqrt(L (C_m + C0)) is placed at the mechanical
-    frequency of the operating point.
+    frequency of the operating point; the gap and the inductance L are
+    ``env``'s.
     """
-    omega = op_point.mech_frequency
-    c_m = membrane_capacitance(geom, gap, op_point.deflection)
+    omega, inductance = op_point.mech_frequency, env.inductance
+    c_m = membrane_capacitance(geom, env.gap, op_point.deflection)
     # positional: a NamedTuple built by keyword takes over twice as long
     return CircuitParams(
         tune_capacitor(inductance, omega, c_m), charge_zero_point(inductance, omega)

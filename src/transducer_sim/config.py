@@ -4,13 +4,14 @@ A config document holds one block per subsystem; every key carries its
 unit in the name, and unknown sections or keys are rejected so typos fail
 loudly.  ``_SCHEMA`` maps each key to a field of its section's record and
 to the conversion from the document's unit (frequencies in Hz become
-angular rates).  Defaults and ranges live in the records
-(``MembraneGeometry``, ``ElectrostaticEnvironment``, ``EmitterParams``,
-``SimulationSettings``, ``SweepSettings``): a key left out takes its
-field's default, and a value that the conversion, the sign its field is
-annotated with (``Positive``, ``NonNegative``) or the record's ``_check``
-refuses is a ``ConfigError`` naming the section, raised here rather than
-inside a run: ``[simulation] kappa must be nonnegative``.
+angular rates).  Each section is one record (``MembraneGeometry``,
+``ElectrostaticEnvironment``, ``EmitterParams``, ``SimulationSettings``,
+``SweepSettings``) that states its defaults and ranges: a key whose field
+has no default is required, a section left out takes its record's
+defaults (None for ``[sweep]``; refused where a field is required), and a
+value that the conversion or the record refuses is a ``ConfigError``
+naming the section and the key, raised here rather than inside a run:
+``[simulation] kappa_hz: kappa must be nonnegative``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .circuit import DEFAULT_INDUCTANCE
 from .constants import (
     TWO_PI,
     stark_shift_to_si,
@@ -100,14 +100,6 @@ _SCHEMA = {
     },
 }
 
-#: keys that a section must give when it is present; [sweep] may be left out
-_REQUIRED = {
-    "geometry": ("length_m", "width_m", "thickness_m", "youngs_modulus_pa"),
-    "circuit": ("gap_m", "bias_voltage_v"),
-    "sweep": ("variable", "start", "stop", "points"),
-}
-
-
 @checked
 class SimulationSettings(NamedTuple):
     """Transfer-run parameters; rates are angular (rad/s)."""
@@ -126,7 +118,7 @@ class SweepSettings(NamedTuple):
     """One swept variable and its points, in the variable's SI unit."""
 
     variable: str
-    start: float
+    start: NonNegative
     stop: float
     points: int
     spacing: str = "linear"
@@ -134,7 +126,7 @@ class SweepSettings(NamedTuple):
     def _check(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(
-                f"unknown sweep variable {self.variable!r}; "
+                f"variable {self.variable!r} is not a sweep variable; "
                 f"expected one of {', '.join(SWEEP_VARIABLES)}"
             )
         if self.points < 1:
@@ -142,16 +134,14 @@ class SweepSettings(NamedTuple):
         if self.points > MAX_SWEEP_POINTS:
             raise ValueError(f"points must be <= {MAX_SWEEP_POINTS}")
         if self.start > self.stop:
-            raise ValueError("range must be ordered (start <= stop)")
+            raise ValueError("stop must not be below start (the range must be ordered)")
         # every sweep variable is a nonnegative quantity, and a thickness is positive
         if self.variable == "thickness" and not self.start > 0:
-            raise ValueError("a thickness sweep must start above 0")
-        if self.start < 0:
-            raise ValueError(f"a {self.variable} sweep must start at 0 or above")
+            raise ValueError("start must be above 0 in a thickness sweep")
         if self.spacing not in ("linear", "log"):
             raise ValueError("spacing must be 'linear' or 'log'")
         if self.spacing == "log" and self.start <= 0:
-            raise ValueError("log spacing needs a positive start")
+            raise ValueError("start must be above 0 in a log sweep")
         # the points between the ends lie below stop, so a finite stop / start
         # keeps every point finite
         if self.spacing == "log" and self.points > 1 and math.isinf(self.stop / self.start):
@@ -169,21 +159,28 @@ class SweepSettings(NamedTuple):
         return [self.start + step * i for i in range(n)] + [self.stop]
 
 
+#: section -> its record, in the order of ``ExperimentConfig``'s fields
+_RECORDS = dict(
+    geometry=MembraneGeometry, circuit=ElectrostaticEnvironment, emitter=EmitterParams,
+    simulation=SimulationSettings, sweep=SweepSettings,
+)
+
+
 class ExperimentConfig(NamedTuple):
-    """A parsed config document."""
+    """A parsed config document: one record per section."""
 
     geometry: MembraneGeometry
     environment: ElectrostaticEnvironment
-    inductance: float
     emitter: EmitterParams
     simulation: SimulationSettings
-    sweep: SweepSettings | None
+    sweep: SweepSettings | None = None
     config_hash: str = ""
 
 
 def _value(section, key, raw, convert):
     """``convert`` of what ``raw`` writes: the text of a ``str`` key, the
-    integer of an ``int`` key, else a finite number."""
+    integer of an ``int`` key, else a number finite as written (its record
+    refuses one that the conversion takes past the float range)."""
     if convert is str:
         return raw
     parse, kind = (int, "an integer") if convert is int else (float, "a number")
@@ -194,35 +191,34 @@ def _value(section, key, raw, convert):
     # nan slips through every range check written as a comparison
     if parse is float and not math.isfinite(value):
         raise ConfigError(f"not a finite number: {raw!r}", section, key)
-    value = convert(value)
-    # a finite value can leave the float range in its unit conversion
-    if parse is float and not math.isfinite(value):
-        raise ConfigError(f"not finite once converted to SI units: {raw!r}", section, key)
-    return value
-
-
-def _circuit(gap, bias_voltage, inductance=DEFAULT_INDUCTANCE):
-    """The ``[circuit]`` record: the electrostatic environment and the inductance."""
-    environment = ElectrostaticEnvironment(gap=gap, bias_voltage=bias_voltage)
-    if not inductance > 0:
-        raise ValueError("inductance must be positive")
-    return environment, inductance
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ConfigError(str(exc), section, key) from None
 
 
 def _record(make, cp, section):
-    """``make`` called with the fields of the keys that ``section`` gives; a
-    ``ValueError`` of a conversion or of ``make`` is a ``ConfigError`` naming
-    the section."""
+    """``make`` called with the fields of the keys that ``section`` gives.
+
+    A key whose field has no default is required, and where the section is
+    left out that is a "missing required section".  A ``ValueError`` of
+    ``make`` is a ``ConfigError`` naming the section and the key of the
+    field that the error's message starts with, if any.
+    """
     fields = {}
+    for key, (name, convert) in _SCHEMA[section].items():
+        if cp.has_option(section, key):
+            fields[name] = _value(section, key, cp.get(section, key), convert)
+        elif name not in make._field_defaults:
+            if not cp.has_section(section):
+                raise ConfigError("missing required section", section)
+            raise ConfigError("missing required field", section, key)
     try:
-        for key, (name, convert) in _SCHEMA[section].items():
-            if cp.has_option(section, key):
-                fields[name] = _value(section, key, cp.get(section, key), convert)
-            elif key in _REQUIRED.get(section, ()):
-                raise ConfigError("missing required field", section, key)
         return make(**fields)
     except ValueError as exc:
-        raise ConfigError(str(exc), section) from None
+        field = str(exc).split(" ", 1)[0]
+        key = next((key for key, (name, _) in _SCHEMA[section].items() if name == field), None)
+        raise ConfigError(str(exc), section, key) from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -232,7 +228,7 @@ def parse_config(text: str) -> ExperimentConfig:
     ------
     ConfigError
         On syntax errors, unknown sections or keys, missing required
-        fields, or values the physics modules reject.
+        fields, or values the records reject.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -240,24 +236,22 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"syntax error: {exc}") from None
 
+    # configparser copies the keys of [DEFAULT] into every section
+    if cp.defaults():
+        raise ConfigError("unknown section", cp.default_section)
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError("unknown section", section)
         for key in cp[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError("unknown key", section, key)
-    for section in ("geometry", "circuit"):
-        if not cp.has_section(section):
-            raise ConfigError("missing required section", section)
 
-    geometry = _record(MembraneGeometry, cp, "geometry")
-    environment, inductance = _record(_circuit, cp, "circuit")
-    emitter = _record(EmitterParams, cp, "emitter")
-    simulation = _record(SimulationSettings, cp, "simulation")
-
-    sweep = _record(SweepSettings, cp, "sweep") if cp.has_section("sweep") else None
-
-    return ExperimentConfig(
-        geometry, environment, inductance, emitter, simulation, sweep,
-        config_hash=sha256(text.encode()).hexdigest(),
-    )
+    # a section left out whose config field has a default ([sweep]) takes it
+    defaults = ExperimentConfig._field_defaults
+    records = [
+        _record(make, cp, section)
+        if cp.has_section(section) or field not in defaults
+        else defaults[field]
+        for field, (section, make) in zip(ExperimentConfig._fields, _RECORDS.items())
+    ]
+    return ExperimentConfig(*records, sha256(text.encode()).hexdigest())

@@ -52,6 +52,9 @@ DEFAULT_CLAMPING_COEFFICIENT = 1.03
 #: (tension-stiffened) operating points live in
 DEFAULT_MODE_MASS_FRACTION = 0.5
 
+#: inductance of the LC resonator when none is given (H)
+DEFAULT_INDUCTANCE = 1e-6
+
 # geometric coefficients of the midpoint force law of a doubly clamped sheet
 _PLATE_STIFFNESS_COEFF = 30.78
 _TENSION_STIFFNESS_COEFF = 12.32
@@ -95,10 +98,12 @@ class MembraneGeometry(NamedTuple):
 
 @checked
 class ElectrostaticEnvironment(NamedTuple):
-    """Bottom-electrode gap and the DC bias applied across it."""
+    """The ``[circuit]`` record: the bottom-electrode gap, the DC bias applied
+    across it, and the inductance of the LC resonator the membrane tunes."""
 
     gap: Positive               # m, undeflected membrane-to-electrode distance
     bias_voltage: NonNegative   # V
+    inductance: Positive = DEFAULT_INDUCTANCE   # H
 
 
 class OperatingPoint(NamedTuple):

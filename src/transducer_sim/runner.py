@@ -80,7 +80,7 @@ def _device_points(config: ExperimentConfig, variable: str):
     ``FloatingPointError``.
     """
     geom, env = config.geometry, config.environment
-    gap = env.gap
+    gap, inductance = env.gap, env.inductance
     if variable == "thickness":
         # _make builds a sheet in a third of _replace's time, with its checks
         at = geom._fields.index("thickness")
@@ -93,7 +93,7 @@ def _device_points(config: ExperimentConfig, variable: str):
     elif variable == "bias_voltage":
 
         def point(value):
-            biased = mechanics.ElectrostaticEnvironment(gap, value)
+            biased = mechanics.ElectrostaticEnvironment(gap, value, inductance)
             return geom, biased, mechanics.solve_equilibrium(geom, biased)
 
     else:
@@ -106,7 +106,7 @@ def _device_points(config: ExperimentConfig, variable: str):
             bias = mechanics.bias_for_deflection(geom, gap, value)
             if not math.isfinite(bias):
                 raise FloatingPointError("the bias for this deflection is not finite")
-            biased = mechanics.ElectrostaticEnvironment(gap, bias)
+            biased = mechanics.ElectrostaticEnvironment(gap, bias, inductance)
             if fold is None:
                 fold = mechanics.pull_in_deflection(geom, gap)
             if value >= fold:
@@ -123,7 +123,7 @@ def _coupling_rates(config: ExperimentConfig, geom, env, op):
     Stark coupling of the emitter.  Raises ``TuningError`` where no
     capacitor matches, and ``FloatingPointError`` where a rate is not finite.
     """
-    circ = circuit_mod.matched_circuit(geom, op, env.gap, config.inductance)
+    circ = circuit_mod.matched_circuit(geom, op, env)
     g_em = circuit_mod.electromechanical_coupling(op, circ, geom, env)
     g_om1 = strain_coupling(op, geom, config.emitter)
     g_om2 = stark_coupling(op, env, config.emitter)

@@ -194,7 +194,7 @@ def test_criterion_2_coupling_anchors(geometry):
 
     env33 = ElectrostaticEnvironment(gap=10e-9, bias_voltage=3.3)
     op33 = solve_equilibrium(geometry, env33)
-    circ33 = matched_circuit(geometry, op33, gap=10e-9)
+    circ33 = matched_circuit(geometry, op33, env33)
     g_em = electromechanical_coupling(op33, circ33, geometry, env33)
     c_em = cooperativity(g_em, GAMMA, GAMMA)
 

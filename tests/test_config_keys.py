@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 from transducer_sim import ConfigError, dynamics, runner
 from transducer_sim.cli import EXIT_CONFIG, EXIT_OK, main
-from transducer_sim.config import _SCHEMA, SWEEP_VARIABLES, parse_config
+from transducer_sim.config import _RECORDS, _SCHEMA, SWEEP_VARIABLES, parse_config
+from transducer_sim.records import _TYPE_TESTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -160,13 +161,107 @@ def test_negative_simulation_rate_is_refused_at_parse(tmp_path, key):
     text = with_key(MECHANICS_BIAS, "simulation", key, "-50e6")
     with pytest.raises(ConfigError) as refusal:
         parse_config(text)
-    assert str(refusal.value) == f"[simulation] {field} must be nonnegative"
+    assert str(refusal.value) == f"[simulation] {key}: {field} must be nonnegative"
     cfg = tmp_path / "negative.ini"
     cfg.write_text(text)
     out = tmp_path / "out.csv"
     assert main(["mechanics", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     zero = parse_config(with_key(MECHANICS_BIAS, "simulation", key, "0"))
     assert getattr(zero.simulation, field) == 0.0
+
+
+#: field -> a value its record refuses that no sign or conversion gives
+UNSIGNED_REFUSALS = {
+    "mode_mass_fraction": "2",
+    "points": "0",
+    "variable": "gap",
+    "spacing": "cubic",
+    "stop": "-1",
+}
+
+
+def refused_values(section, key):
+    """Values of ``key`` that its section's record refuses: -1 for a signed
+    field, a finite text that converts to inf, and ``UNSIGNED_REFUSALS``."""
+    name, convert = _SCHEMA[section][key]
+    annotation = _RECORDS[section].__annotations__[name]
+    values = [UNSIGNED_REFUSALS[name]] if name in UNSIGNED_REFUSALS else []
+    if _TYPE_TESTS[getattr(annotation, "__forward_arg__", annotation)][2]:
+        values.append("-1")
+    if convert not in (float, int, str):
+        values += [text for text in ("1e308", "1e-320") if math.isinf(convert(float(text)))]
+    return values
+
+
+REFUSALS = [
+    (section, key, value)
+    for section, keys in _SCHEMA.items()
+    for key in keys
+    for value in refused_values(section, key)
+]
+
+
+def test_every_key_has_a_refused_value():
+    assert {(section, key) for section, key, _ in REFUSALS} == {
+        (section, key) for section, keys in _SCHEMA.items() for key in keys
+    }
+    assert ("emitter", "zpl_wavelength_m", "1e-320") in REFUSALS
+    assert ("simulation", "kappa_hz", "1e308") in REFUSALS
+
+
+@pytest.mark.parametrize("section, key, value", REFUSALS)
+def test_record_refusal_names_its_key(section, key, value):
+    text = with_key(TRANSFER + sweep("bias_voltage", 0.0, 1.0), section, key, value)
+    with pytest.raises(ConfigError) as refusal:
+        parse_config(text)
+    assert (refusal.value.section, refusal.value.key) == (section, key)
+    assert str(refusal.value).startswith(f"[{section}] {key}: ")
+
+
+def test_required_keys_are_the_fields_without_default():
+    required = {
+        (section, key)
+        for section, keys in _SCHEMA.items()
+        for key, (name, _) in keys.items()
+        if name not in _RECORDS[section]._field_defaults
+    }
+    assert required == {
+        ("geometry", "length_m"), ("geometry", "width_m"), ("geometry", "thickness_m"),
+        ("geometry", "youngs_modulus_pa"), ("circuit", "gap_m"), ("circuit", "bias_voltage_v"),
+        ("sweep", "variable"), ("sweep", "start"), ("sweep", "stop"), ("sweep", "points"),
+    }
+    for section, key in required:
+        with pytest.raises(ConfigError) as refusal:
+            parse_config(re.sub(rf"^{key} = .*\n", "", MECHANICS_BIAS, flags=re.MULTILINE))
+        assert str(refusal.value) == f"[{section}] {key}: missing required field"
+
+
+@pytest.mark.parametrize("section", ["geometry", "circuit"])
+def test_missing_device_section_is_refused(section):
+    text = re.sub(rf"\[{section}\]\n(\w+ = .*\n)*", "", DEVICE)
+    assert f"[{section}]" not in text
+    with pytest.raises(ConfigError) as refusal:
+        parse_config(text)
+    assert str(refusal.value) == f"[{section}] missing required section"
+
+
+def test_left_out_sections_take_their_defaults():
+    config = parse_config(DEVICE)
+    assert config.sweep is None
+    assert config.environment.inductance == 1e-6
+    assert config.emitter == _RECORDS["emitter"]()
+    assert config.simulation == _RECORDS["simulation"]()
+
+
+@pytest.mark.parametrize("key", ["duration_s", "length_m", "gap_m"])
+def test_default_section_with_keys_is_refused(key):
+    # configparser would copy [DEFAULT]'s keys into every section, so a
+    # refusal as a key would name a section the document never put it in
+    with pytest.raises(ConfigError) as refusal:
+        parse_config(f"[DEFAULT]\n{key} = 1e-9\n" + DEVICE)
+    assert str(refusal.value) == "[DEFAULT] unknown section"
+    # an empty [DEFAULT] sets nothing
+    assert parse_config("[DEFAULT]\n" + DEVICE)[:-1] == parse_config(DEVICE)[:-1]
 
 
 def readme_schema():

@@ -196,7 +196,7 @@ class TestParseConfig:
         assert geom.mode_mass_fraction == 0.5
         assert cfg.environment.gap == 10e-9
         assert cfg.environment.bias_voltage == 3.3
-        assert cfg.inductance == 1e-6
+        assert cfg.environment.inductance == 1e-6
         assert cfg.emitter.optical_decay == pytest.approx(TWO_PI * 53e6, rel=1e-12)
         sim = cfg.simulation
         assert sim.g_c == pytest.approx(TWO_PI * 50e6, rel=1e-12)
@@ -738,7 +738,8 @@ class TestCli:
         cfg.write_text(set_key(text, section, key, value))
         assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"config error: [{section}] {key}: not finite once converted" in err
+        field = _SCHEMA[section][key][0]
+        assert f"config error: [{section}] {key}: {field} must be finite, not inf" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(OVERFLOWING))

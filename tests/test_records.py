@@ -271,17 +271,17 @@ SIGNED_FIELDS = [
 
 
 def test_every_float_field_is_found():
-    # 8 geometry, 2 environment, 4 emitter, 7 settings, 2 sweep, 6 system
-    assert len(FLOAT_FIELDS) == 29
+    # 8 geometry, 3 environment, 4 emitter, 7 settings, 2 sweep, 6 system
+    assert len(FLOAT_FIELDS) == 30
     assert ("TransferSystem", "kappa") in FLOAT_FIELDS
     assert ("SimulationSettings", "g_c") in FLOAT_FIELDS
 
 
 def test_every_signed_field_is_found():
     signs = [sign for _, _, sign in SIGNED_FIELDS]
-    # Positive: 6 geometry, 1 environment, 2 emitter, 1 settings, 1 system field;
-    # NonNegative: 1 geometry, 1 environment, 6 settings, 5 system fields
-    assert (signs.count("positive"), signs.count("nonnegative")) == (11, 13)
+    # Positive: 6 geometry, 2 environment, 2 emitter, 1 settings, 1 system field;
+    # NonNegative: 1 geometry, 1 environment, 6 settings, 1 sweep, 5 system fields
+    assert (signs.count("positive"), signs.count("nonnegative")) == (12, 14)
     assert ("ElectrostaticEnvironment", "gap", "positive") in SIGNED_FIELDS
     assert ("SimulationSettings", "g_c", "nonnegative") in SIGNED_FIELDS
     assert ("TransferSystem", "mode_spacing", "positive") in SIGNED_FIELDS
