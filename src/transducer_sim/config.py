@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from typing import NamedTuple
 
 # ``hashlib`` loads OpenSSL, megabytes of memory for one digest per run: take
@@ -177,18 +178,28 @@ class ExperimentConfig(NamedTuple):
     config_hash: str = ""
 
 
+#: a number as a document writes it: a plain ASCII decimal, and digits
+#: alone for an integer (``float()`` and ``int()`` also take ``1_0``, ``٣``,
+#: ``nan`` and, for ``int()``, ``0x10``)
+_DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]*)?([eE][+-]?[0-9]+)?")
+_DIGITS = re.compile(r"[0-9]+")
+
+
 def _value(section, key, raw, convert):
     """``convert`` of what ``raw`` writes: the text of a ``str`` key, the
     integer of an ``int`` key, else a number finite as written (its record
     refuses one that the conversion takes past the float range)."""
     if convert is str:
         return raw
-    parse, kind = (int, "an integer") if convert is int else (float, "a number")
+    parse, kind, form = (
+        (int, "an integer", _DIGITS) if convert is int else (float, "a number", _DECIMAL)
+    )
     try:
-        value = parse(raw)
+        # text of another form parses as "", which both refuse
+        value = parse(raw if form.fullmatch(raw) else "")
     except ValueError:
         raise ConfigError(f"not {kind}: {raw!r}", section, key) from None
-    # nan slips through every range check written as a comparison
+    # a decimal past the float range reads as inf
     if parse is float and not math.isfinite(value):
         raise ConfigError(f"not a finite number: {raw!r}", section, key)
     try:
@@ -230,15 +241,16 @@ def parse_config(text: str) -> ExperimentConfig:
         On syntax errors, unknown sections or keys, missing required
         fields, or values the records reject.
     """
-    cp = configparser.ConfigParser(interpolation=None)
+    # sections and keys are matched as written, and no header names the
+    # default section (a header holds at least one character), whose keys
+    # configparser would copy into every section: [DEFAULT] is unknown
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"syntax error: {exc}") from None
 
-    # configparser copies the keys of [DEFAULT] into every section
-    if cp.defaults():
-        raise ConfigError("unknown section", cp.default_section)
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError("unknown section", section)

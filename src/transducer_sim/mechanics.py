@@ -115,33 +115,31 @@ class OperatingPoint(NamedTuple):
     x_zpf: float            # m, zero-point amplitude of the mode
 
 
-def _per_geometry(factors):
-    """``factors(geom)``, held for the last geometry object it was called with.
+# (geometry, its factors) of the last :func:`_factors` call that returned
+_held = (None, None)
+
+
+def _factors(geom: MembraneGeometry) -> tuple:
+    """What the statics compute from the geometry alone, held for the last geometry.
+
+    ``(k1, k3, eps0 w l, Y w h, l^2, A^2 Y h^2 / (rho l^4), 0.57 A^2,
+    rho l^2 w h, effective mass)``: the restoring force k1 x + k3 x^3, the
+    plates' pull, and the factors of :func:`operating_point_at_deflection`'s
+    formulas, each the float its formula computes, in the formula's order.
 
     One entry, like :func:`_fold`'s: a bias or displacement sweep passes one
     geometry at every point, a thickness sweep a new one.  Found by identity,
-    which costs less than hashing the eight floats, so it is always what
-    ``factors(geom)`` returns; an exception is raised again at every call.
+    which costs less than hashing the eight floats, so it is always what a
+    fresh computation gives; an exception is raised again at every call.
+
+    Raises ``FloatingPointError`` where k1 or k3 is not finite, and the
+    ``OverflowError`` or ``ZeroDivisionError`` of a mode factor that leaves
+    the float range.
     """
-    held = (None, None)
-
-    @functools.wraps(factors)
-    def cached(geom):
-        nonlocal held
-        entry = held
-        if entry[0] is not geom:
-            entry = held = (geom, factors(geom))
-        return entry[1]
-
-    return cached
-
-
-@_per_geometry
-def _stiffness(geom: MembraneGeometry) -> tuple[float, float, float]:
-    """``(k1, k3, eps0 w l)``: the restoring force k1 x + k3 x^3 and the plates' pull.
-
-    Raises ``FloatingPointError`` where k1 or k3 is not finite.
-    """
+    global _held
+    held = _held
+    if held[0] is geom:
+        return held[1]
     l, w, h, y = geom.length, geom.width, geom.thickness, geom.youngs_modulus
     k1 = (
         _PLATE_STIFFNESS_COEFF * w * h ** 3 * y / l ** 3
@@ -152,28 +150,13 @@ def _stiffness(geom: MembraneGeometry) -> tuple[float, float, float]:
         raise FloatingPointError(
             f"stiffness k1 = {k1:g} N/m or k3 = {k3:g} N/m^3 is not finite"
         )
-    return k1, k3, EPSILON_0 * w * l
-
-
-# held apart from the stiffness: a geometry whose every point is past
-# pull-in never computes them
-@_per_geometry
-def _mode_factors(geom: MembraneGeometry) -> tuple:
-    """``(Y w h, l^2, A^2 Y h^2 / (rho l^4), 0.57 A^2, rho l^2 w h, effective mass)``.
-
-    The factors of :func:`operating_point_at_deflection`'s formulas, each
-    the float its formula computes, in the formula's order.
-    """
-    l, w, h, rho = geom.length, geom.width, geom.thickness, geom.density
-    a2 = geom.clamping_coefficient ** 2
-    return (
-        geom.youngs_modulus * w * h,
-        l ** 2,
-        a2 * geom.youngs_modulus * h ** 2 / (rho * l ** 4),
-        _TENSION_FREQUENCY_COEFF * a2,
-        rho * l ** 2 * w * h,
-        geom.effective_mass,
-    )
+    rho, a2 = geom.density, geom.clamping_coefficient ** 2
+    _held = (geom, (
+        k1, k3, EPSILON_0 * w * l,
+        y * w * h, l ** 2, a2 * y * h ** 2 / (rho * l ** 4),
+        _TENSION_FREQUENCY_COEFF * a2, rho * l ** 2 * w * h, geom.effective_mass,
+    ))
+    return _held[1]
 
 
 def elastic_force(geom: MembraneGeometry, deflection: float) -> float:
@@ -186,7 +169,7 @@ def elastic_force(geom: MembraneGeometry, deflection: float) -> float:
     """
     if not deflection >= 0:
         raise ValueError("deflection is measured toward the electrode; must be >= 0")
-    k1, k3, _ = _stiffness(geom)
+    k1, k3 = _factors(geom)[:2]
     return k1 * deflection + k3 * deflection ** 3
 
 
@@ -203,7 +186,7 @@ def bias_for_deflection(geom: MembraneGeometry, gap: float, deflection: float) -
     if gap == math.inf:
         raise ValueError("gap must be finite")
     return (gap - deflection) * math.sqrt(
-        2.0 * elastic_force(geom, deflection) / _stiffness(geom)[2]
+        2.0 * elastic_force(geom, deflection) / _factors(geom)[2]
     )
 
 
@@ -221,17 +204,18 @@ def operating_point_at_deflection(
     (the plate term dominates for thick sheets, the tension term for
     atomically thin ones) and the zero-point amplitude
     sqrt(hbar / (2 m_eff omega)).  What depends on the geometry alone is
-    held for it (:func:`_mode_factors`).
+    held for it (:func:`_factors`).
 
     Raises
     ------
     FloatingPointError
         If the mode frequency or the effective mass is not a positive
-        finite float, as where the geometry overflows or underflows it.
+        finite float, as where the geometry overflows or underflows it,
+        or if the geometry's k1 or k3 is not finite (:func:`_factors`).
     """
     if not deflection >= 0:
         raise ValueError("deflection must be nonnegative")
-    stretch, l2, plate, weight, mass_length, m_eff = _mode_factors(geom)
+    stretch, l2, plate, weight, mass_length, m_eff = _factors(geom)[3:]
     tension = geom.pre_tension + stretch * (2.0 * deflection ** 2 / l2)
     omega = TWO_PI * math.sqrt(plate + weight * tension / mass_length)
     # the chained comparisons are False for nan as well
@@ -291,7 +275,7 @@ def _fold(a: float) -> tuple[float, float]:
     so g has one root u* in [1/3, 3/5), found by a bracketed Newton solve;
     a = 0, a linear spring, folds at u* = 1/3.  a = k3 d^2 / k1 depends
     only on the geometry and the gap, so the fold is solved once per device
-    and cached, as the geometry's factors are held (:func:`_per_geometry`);
+    and cached, as the geometry's factors are held (:func:`_factors`);
     a cached fold is the same pair of floats as a fresh solve.
 
     g is also the net stiffness: at a deflection u = x/d held in balance
@@ -346,7 +330,7 @@ def pull_in_deflection(geom: MembraneGeometry, gap: float) -> float:
     """
     if not 0 < gap < math.inf:
         raise ValueError("gap must be positive and finite")
-    k1, k3, _ = _stiffness(geom)
+    k1, k3 = _factors(geom)[:2]
     return _fold(k3 * gap ** 2 / k1)[0] * gap
 
 
@@ -380,7 +364,7 @@ def solve_equilibrium(
         ``OverflowError`` or ``ZeroDivisionError`` of the float operation
         that leaves it first.
     """
-    k1, k3, plates = _stiffness(geom)
+    k1, k3, plates = _factors(geom)[:3]
     d = env.gap
     a = k3 * d ** 2 / k1
     b = plates * env.bias_voltage ** 2 / (2.0 * k1 * d ** 3)

@@ -25,7 +25,6 @@ _NUMBER_OR_NONE = (lambda value: value is None or math.isfinite(value), "a numbe
 #: value must be if it is signed)
 _TYPE_TESTS = {
     "float": (*_NUMBER, None),
-    "float | None": (*_NUMBER_OR_NONE, None),
     "Positive": (*_NUMBER, "positive"),
     "NonNegative": (*_NUMBER, "nonnegative"),
     "NonNegative | None": (*_NUMBER_OR_NONE, "nonnegative"),

@@ -97,19 +97,15 @@ def _device_points(config: ExperimentConfig, variable: str):
             return geom, biased, mechanics.solve_equilibrium(geom, biased)
 
     else:
-        fold = None  # the pull-in deflection, solved at the first point that needs it
 
         def point(value):
-            nonlocal fold
             if value >= gap:
                 raise ConfigError("displacement sweep reaches the electrode gap", "sweep")
             bias = mechanics.bias_for_deflection(geom, gap, value)
             if not math.isfinite(bias):
                 raise FloatingPointError("the bias for this deflection is not finite")
             biased = mechanics.ElectrostaticEnvironment(gap, bias, inductance)
-            if fold is None:
-                fold = mechanics.pull_in_deflection(geom, gap)
-            if value >= fold:
+            if value >= mechanics.pull_in_deflection(geom, gap):
                 return geom, biased, None
             return geom, biased, mechanics.operating_point_at_deflection(geom, value)
 

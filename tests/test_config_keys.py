@@ -260,8 +260,52 @@ def test_default_section_with_keys_is_refused(key):
     with pytest.raises(ConfigError) as refusal:
         parse_config(f"[DEFAULT]\n{key} = 1e-9\n" + DEVICE)
     assert str(refusal.value) == "[DEFAULT] unknown section"
-    # an empty [DEFAULT] sets nothing
-    assert parse_config("[DEFAULT]\n" + DEVICE)[:-1] == parse_config(DEVICE)[:-1]
+    # an empty [DEFAULT] is an unknown section too
+    with pytest.raises(ConfigError) as refusal:
+        parse_config("[DEFAULT]\n" + DEVICE)
+    assert str(refusal.value) == "[DEFAULT] unknown section"
+
+
+def test_sections_and_keys_are_matched_as_written():
+    # a key in capitals is not read as the lower-case key it folds to
+    with pytest.raises(ConfigError) as refusal:
+        parse_config(DEVICE.replace("[circuit]\n", "[circuit]\nGAP_M = -1e-8\n"))
+    assert str(refusal.value) == "[circuit] GAP_M: unknown key"
+    with pytest.raises(ConfigError) as refusal:
+        parse_config(DEVICE.replace("[circuit]", "[Circuit]"))
+    assert str(refusal.value) == "[Circuit] unknown section"
+
+
+@pytest.mark.parametrize(
+    "section, key, value, kind",
+    [
+        ("geometry", "length_m", "1_10e-9", "a number"),
+        ("geometry", "length_m", "\u0663", "a number"),  # an Arabic-Indic three
+        ("geometry", "length_m", "0x10", "a number"),
+        ("circuit", "gap_m", "nan", "a number"),
+        ("circuit", "gap_m", ".5e-8", "a number"),
+        ("sweep", "points", "\u0663", "an integer"),
+        ("sweep", "points", "0x10", "an integer"),
+        ("sweep", "points", "+3", "an integer"),
+        ("sweep", "points", "3.0", "an integer"),
+    ],
+)
+def test_only_plain_decimals_are_numbers(section, key, value, kind):
+    # float() and int() take each of these, or parse them to another value
+    with pytest.raises(ConfigError) as refusal:
+        parse_config(with_key(MECHANICS_BIAS, section, key, value))
+    assert str(refusal.value) == f"[{section}] {key}: not {kind}: {value!r}"
+
+
+def test_plain_decimals_are_read():
+    text = with_key(MECHANICS_BIAS, "geometry", "length_m", "+110.E-9")
+    config = parse_config(with_key(text, "sweep", "points", "007"))
+    assert config.geometry.length == 110e-9
+    assert config.sweep.points == 7
+    # a decimal past the float range still overflows
+    with pytest.raises(ConfigError) as refusal:
+        parse_config(with_key(MECHANICS_BIAS, "geometry", "length_m", "1e999"))
+    assert str(refusal.value) == "[geometry] length_m: not a finite number: '1e999'"
 
 
 def readme_schema():

@@ -391,7 +391,13 @@ class TestCouplingSweep:
         run_mechanics_sweep(config)
         run_coupling_sweep(config)
         assert _fold.cache_info().misses == 1
-        run_coupling_sweep(parse_config(MINIMAL + sweep("displacement", 0, 9e-9, 37)))
+        displacement = parse_config(MINIMAL + sweep("displacement", 0, 9e-9, 37))
+        run_coupling_sweep(displacement)
+        assert _fold.cache_info().misses == 1
+        # a displacement sweep alone solves its fold once, though every
+        # point asks mechanics for it
+        _fold.cache_clear()
+        run_coupling_sweep(displacement)
         assert _fold.cache_info().misses == 1
         _fold.cache_clear()
         run_mechanics_sweep(parse_config(MINIMAL + sweep("thickness", 1e-9, 3e-9, 7)))
